@@ -1,7 +1,7 @@
 """Eight-port quantum scissors toolkit.
 
-Simulation and design of post-selected optical-state truncation: sparse
-Fock-state evolution through beam-splitter/phase-shifter networks,
+Simulation and design of post-selected optical-state truncation: Fock-state
+evolution on the scattering matrix of beam-splitter/phase-shifter networks,
 heralded qudit truncation and teleportation (d = 2..6), derivative-free
 parameter search for truncation / hole-burning / Fock-filtering targets,
 and truncation fidelities under realistic photodetectors.
@@ -9,11 +9,11 @@ and truncation fidelities under realistic photodetectors.
 
 from .fock import (InputField, MultimodeState, QuditState, coherent_expansion,
                    embed_input, fock_expansion, fock_product_state, total_photons)
-from .network import (BeamSplitter, GeneralBsSpec, GqsdSpec, Mirror, PhaseShifter,
-                      decompose_general_bs, element_matrix, general_bs_matrix,
-                      gqsd_matrix, verify_unitary)
-from .evolution import (OracleLimitError, apply_element, evolve,
-                        evolve_fock_oracle)
+from .network import (BeamSplitter, GeneralBsSpec, GqsdSpec, PhaseShifter,
+                      decompose_general_bs, general_bs_matrix, gqsd_matrix,
+                      scattering_matrix, verify_unitary)
+from .evolution import (OracleLimitError, evolve, evolve_fock_oracle,
+                        projected_amplitudes)
 from .scissors import (ConditionalAmplitudes, MeasurementEvent, TruncationTarget,
                        ZeroProbabilityError, analytic_amplitudes,
                        conditional_amplitudes, heralded_amplitude,

@@ -30,7 +30,7 @@ class ConfigError(ValueError):
 
 _ALLOWED_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant,
                   ast.Name, ast.Call, ast.Add, ast.Sub, ast.Mult, ast.Div,
-                  ast.Pow, ast.USub, ast.UAdd, ast.Load)
+                  ast.USub, ast.UAdd, ast.Load)
 _ALLOWED_NAMES = {"pi": math.pi, "sqrt": math.sqrt, "e": math.e,
                   "cos": math.cos, "sin": math.sin}
 
@@ -49,8 +49,11 @@ def eval_number(text: str) -> float:
         if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_NAMES:
                 raise ConfigError(f"disallowed call in {text!r}")
-    return float(eval(compile(tree, "<config>", "eval"), {"__builtins__": {}},
-                      _ALLOWED_NAMES))
+    try:
+        return float(eval(compile(tree, "<config>", "eval"), {"__builtins__": {}},
+                          _ALLOWED_NAMES))
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise ConfigError(f"cannot evaluate {text!r}: {exc}") from exc
 
 
 def _split_top_level(text: str) -> list:
@@ -405,10 +408,7 @@ def main(argv=None) -> int:
         if args.quotient_phase is not None:
             cfg.quotient_phase = args.quotient_phase == "true"
         return args.func(cfg, args)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

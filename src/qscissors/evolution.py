@@ -1,15 +1,14 @@
-"""Fock-state evolution through linear networks: multi-index oracle and fast per-element path."""
+"""Fock-state evolution through linear networks: scattering-matrix engine and its oracle."""
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 
 import numpy as np
 
-from .fock import PRUNE_TOL, MultimodeState, total_photons
-from .network import BeamSplitter, ElementSpec, Mirror, PhaseShifter, element_matrix
+from .fock import MultimodeState, total_photons
+from .network import scattering_matrix
 
 ORACLE_PHOTON_LIMIT = 8
 
@@ -60,54 +59,63 @@ def evolve_fock_oracle(s: np.ndarray, occupation,
     return MultimodeState(n_modes, amps)
 
 
-def _apply_phase(state: MultimodeState, mode: int, phase: float) -> MultimodeState:
-    amps = {}
-    for key, amp in state.items():
-        amps[key] = amp * cmath.exp(1j * phase * key[mode])
-    return MultimodeState(state.modes, amps)
+def _create(amps: np.ndarray, column, photons: int, k: int, cut=None) -> np.ndarray:
+    """Apply sum_j column[j] a_j^dag / sqrt(k) to a sector of ``photons`` photons.
+
+    A sector holds amplitudes indexed by the occupations of modes 2..N (mode 1
+    holds the rest); ``cut`` bounds them, as creation never lowers one.
+    """
+    shape = cut or tuple(n + 1 for n in amps.shape)
+    out = np.zeros(shape, dtype=complex)
+    common = tuple(slice(0, min(a, b)) for a, b in zip(amps.shape, shape))
+    if column[0] != 0:
+        mode1 = photons + 1 - sum(np.ix_(*(np.arange(c.stop) for c in common)))
+        out[common] += column[0] * np.sqrt(np.maximum(mode1, 0)) * amps[common]
+    for axis, coeff in enumerate(column[1:]):
+        top = min(amps.shape[axis], shape[axis] - 1)
+        if coeff != 0 and top > 0:
+            src, dst = list(common), list(common)
+            src[axis], dst[axis] = slice(0, top), slice(1, top + 1)
+            weight = np.sqrt(np.arange(1, top + 1)).reshape((-1,) + (1,) * (len(shape) - axis - 1))
+            out[tuple(dst)] += coeff * weight * amps[tuple(src)]
+    return out / math.sqrt(k)
 
 
-def _apply_beam_splitter(state: MultimodeState, i: int, j: int,
-                         transmittance: float) -> MultimodeState:
-    t = math.sqrt(transmittance)
-    r = math.sqrt(1.0 - transmittance)
-    amps: dict[tuple[int, ...], complex] = {}
-    for key, amp in state.items():
-        ni, nj = key[i], key[j]
-        if ni == 0 and nj == 0:
-            amps[key] = amps.get(key, 0j) + amp
-            continue
-        base = amp / math.sqrt(math.factorial(ni) * math.factorial(nj))
-        # Expand (t a_i - r a_j)^ni (r a_i + t a_j)^nj on the two-mode block.
-        for k in range(ni + 1):
-            ck = math.comb(ni, k) * t ** k * (-r) ** (ni - k)
-            for l in range(nj + 1):
-                cl = math.comb(nj, l) * r ** l * t ** (nj - l)
-                p = k + l
-                q = ni + nj - p
-                coeff = base * ck * cl * math.sqrt(math.factorial(p) * math.factorial(q))
-                if coeff == 0:
-                    continue
-                out = list(key)
-                out[i] = p
-                out[j] = q
-                out = tuple(out)
-                amps[out] = amps.get(out, 0j) + coeff
-    return MultimodeState(state.modes, amps)
-
-
-def apply_element(state: MultimodeState, element: ElementSpec) -> MultimodeState:
-    """Apply a single optical element to a sparse multimode state."""
-    if isinstance(element, (PhaseShifter, Mirror)):
-        return _apply_phase(state, element.mode, element.phase)
-    if isinstance(element, BeamSplitter):
-        i, j = element.modes
-        return _apply_beam_splitter(state, i, j, element.transmittance)
-    raise TypeError(f"unknown element {element!r}")
+def _sectors(s: np.ndarray, prefix, n_max: int, cut=None):
+    """Yield (photons, sector) of S acting on |prefix, n> for n = 0 .. n_max."""
+    amps, photons = np.ones((1,) * (len(s) - 1), dtype=complex), 0
+    for mode, count in enumerate(prefix):
+        for k in range(1, count + 1):
+            amps = _create(amps, s[:, mode], photons + k - 1, k, cut)
+        photons += count
+    for n in range(n_max + 1):
+        if n:
+            amps = _create(amps, s[:, -1], photons + n - 1, n, cut)
+        yield photons + n, amps
 
 
 def evolve(state: MultimodeState, elements) -> MultimodeState:
     """Apply an element sequence in temporal order (first element first)."""
-    for element in elements:
-        state = apply_element(state, element)
-    return state
+    s = scattering_matrix(elements, state.modes)
+    groups: dict[tuple[int, ...], dict[int, complex]] = {}
+    for key, amp in state.amplitudes.items():
+        groups.setdefault(key[:-1], {})[key[-1]] = amp
+    sectors: dict[int, np.ndarray] = {}
+    for prefix, tail in groups.items():
+        for n, (photons, amps) in enumerate(_sectors(s, prefix, max(tail))):
+            if n in tail:
+                sectors[photons] = sectors.get(photons, 0) + tail[n] * amps
+    amplitudes = {}
+    for photons, amps in sectors.items():
+        index = np.argwhere(amps)
+        keys = np.column_stack([photons - index.sum(axis=1), index]).tolist()
+        amplitudes.update(zip(map(tuple, keys), amps[amps != 0].tolist()))
+    return MultimodeState(state.modes, amplitudes)
+
+
+def projected_amplitudes(s: np.ndarray, fock_inputs, counts, n_max: int) -> list:
+    """<n, counts| U |fock_inputs, n> for n = 0 .. n_max (counts on modes 2..N), in one pass."""
+    if sum(counts) != sum(fock_inputs):
+        raise ValueError(f"counts {counts} do not conserve the photons of {fock_inputs}")
+    cut = tuple(c + 1 for c in counts)
+    return [complex(amps[tuple(counts)]) for _, amps in _sectors(s, fock_inputs, n_max, cut)]

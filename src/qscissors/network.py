@@ -38,36 +38,23 @@ class PhaseShifter:
     phase: float
 
 
-@dataclass(frozen=True)
-class Mirror:
-    """Mirror reflection phase on a single mode (acts like a phase shifter)."""
-
-    mode: int
-    phase: float
-
-
-ElementSpec = BeamSplitter | PhaseShifter | Mirror
-
-
-def element_matrix(element: ElementSpec, n_modes: int) -> np.ndarray:
-    """N x N scattering matrix of a single optical element."""
+def scattering_matrix(elements, n_modes: int) -> np.ndarray:
+    """N x N scattering matrix of an element sequence (earliest element rightmost)."""
     s = np.eye(n_modes, dtype=complex)
-    if isinstance(element, BeamSplitter):
-        i, j = element.modes
-        if j >= n_modes:
-            raise ValueError(f"mode index {j} outside 0..{n_modes - 1}")
-        t = math.sqrt(element.transmittance)
-        r = math.sqrt(1.0 - element.transmittance)
-        s[i, i] = t
-        s[i, j] = r
-        s[j, i] = -r
-        s[j, j] = t
-    elif isinstance(element, (PhaseShifter, Mirror)):
-        if element.mode >= n_modes:
-            raise ValueError(f"mode index {element.mode} outside 0..{n_modes - 1}")
-        s[element.mode, element.mode] = cmath.exp(1j * element.phase)
-    else:
-        raise TypeError(f"unknown element {element!r}")
+    for element in elements:
+        if isinstance(element, BeamSplitter):
+            i, j = element.modes
+            if j >= n_modes:
+                raise ValueError(f"mode index {j} outside 0..{n_modes - 1}")
+            t = math.sqrt(element.transmittance)
+            r = math.sqrt(1.0 - element.transmittance)
+            s[i], s[j] = t * s[i] + r * s[j], t * s[j] - r * s[i]
+        elif isinstance(element, PhaseShifter):
+            if element.mode >= n_modes:
+                raise ValueError(f"mode index {element.mode} outside 0..{n_modes - 1}")
+            s[element.mode] *= cmath.exp(1j * element.phase)
+        else:
+            raise TypeError(f"unknown element {element!r}")
     return s
 
 
@@ -83,8 +70,8 @@ class GqsdSpec:
 
     applied in that (left-to-right) temporal order, with P1, P2, P6 on
     mode 1, P3, P4 on mode 2 and P5 on mode 3 (modes 0-indexed in code).
-    A nonzero ``mirror_zeta`` inserts the mirror reflection phase on each
-    mode at its reflection point in the beam path.
+    ``mirror_zeta`` is the mirror reflection phase, a phase shifter on each
+    mode at its reflection point in the beam path (zero by default).
     """
 
     transmittances: tuple
@@ -102,36 +89,29 @@ class GqsdSpec:
         for t in self.transmittances:
             if not 0.0 <= t <= 1.0:
                 raise ValueError(f"transmittance {t} outside [0, 1]")
+        if not all(map(math.isfinite, self.phases + (self.mirror_zeta,))):
+            raise ValueError(f"non-finite phase in {self.phases}, mirror_zeta {self.mirror_zeta}")
 
     def elements(self) -> list:
         """Element sequence in temporal (application) order."""
         t1, t2, t3, t4, t5 = self.transmittances
         x1, x2, x3, x4, x5, x6 = self.phases
-        seq: list = []
         z = self.mirror_zeta
-        if z != 0.0:
-            seq.append(Mirror(0, z))  # mode-1 reflection, before B1
-        seq += [PhaseShifter(0, x1), BeamSplitter((0, 1), t1)]
-        if z != 0.0:
-            seq.append(Mirror(1, z))  # mode-2 reflection, between B1 and B3
-        seq += [PhaseShifter(0, x2), BeamSplitter((0, 2), t2),
-                PhaseShifter(1, x3), BeamSplitter((1, 2), t3)]
-        if z != 0.0:
-            seq.append(Mirror(2, z))  # mode-3 reflection, between B3 and B5
-        seq += [PhaseShifter(1, x4), BeamSplitter((1, 3), t4),
+        return [PhaseShifter(0, z),  # mode-1 mirror reflection, before B1
+                PhaseShifter(0, x1), BeamSplitter((0, 1), t1),
+                PhaseShifter(1, z),  # mode-2 reflection, between B1 and B3
+                PhaseShifter(0, x2), BeamSplitter((0, 2), t2),
+                PhaseShifter(1, x3), BeamSplitter((1, 2), t3),
+                PhaseShifter(2, z),  # mode-3 reflection, between B3 and B5
+                PhaseShifter(1, x4), BeamSplitter((1, 3), t4),
                 PhaseShifter(2, x5), BeamSplitter((2, 3), t5),
-                PhaseShifter(0, x6)]
-        if z != 0.0:
-            seq.append(Mirror(3, z))  # mode-4 reflection, before detection
-        return seq
+                PhaseShifter(0, x6),
+                PhaseShifter(3, z)]  # mode-4 reflection, before detection
 
 
 def gqsd_matrix(spec: GqsdSpec) -> np.ndarray:
     """Total 4x4 scattering matrix of the device (earliest element rightmost)."""
-    s = np.eye(4, dtype=complex)
-    for element in spec.elements():
-        s = element_matrix(element, 4) @ s
-    return s
+    return scattering_matrix(spec.elements(), 4)
 
 
 @dataclass(frozen=True)
@@ -170,7 +150,7 @@ def decompose_general_bs(g: GeneralBsSpec):
     global_phase = g.theta_0 - g.theta_t
     p_plus = np.diag([cmath.exp(1j * (g.theta_t + g.theta_r)), 1.0]).astype(complex)
     p_minus = np.diag([cmath.exp(1j * (g.theta_t - g.theta_r)), 1.0]).astype(complex)
-    b = element_matrix(BeamSplitter((0, 1), g.transmittance), 2)
+    b = scattering_matrix([BeamSplitter((0, 1), g.transmittance)], 2)
     return global_phase, p_plus, b, p_minus
 
 

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import evolve
-from .fock import PRUNE_TOL, InputField, QuditState, fock_product_state
-from .network import GqsdSpec
+from .evolution import projected_amplitudes
+from .fock import InputField, QuditState
+from .network import GqsdSpec, gqsd_matrix
 
 
 class ZeroProbabilityError(RuntimeError):
@@ -96,16 +96,14 @@ class TruncationTarget:
 
 def heralded_amplitude(spec: GqsdSpec, event: MeasurementEvent, n: int) -> complex:
     """Single matrix element <n, N2, N3, N4 | U | n1, n2, n3, n>."""
-    n1, n2, n3 = event.fock_inputs
-    state = evolve(fock_product_state((n1, n2, n3, n)), spec.elements())
-    return state.amplitude((n,) + event.counts)
+    return projected_amplitudes(gqsd_matrix(spec), event.fock_inputs, event.counts, n)[n]
 
 
 def conditional_amplitudes(spec: GqsdSpec, event: MeasurementEvent) -> ConditionalAmplitudes:
-    """All heralded coefficients c_n for n = 0 .. d-1 via the fast evolution path."""
+    """All heralded coefficients c_n for n = 0 .. d-1 from one pass over S."""
     d = event.dim
-    return ConditionalAmplitudes(
-        d=d, c=tuple(heralded_amplitude(spec, event, n) for n in range(d)))
+    return ConditionalAmplitudes(d=d, c=projected_amplitudes(
+        gqsd_matrix(spec), event.fock_inputs, event.counts, d - 1))
 
 
 def truncation_defect(c: ConditionalAmplitudes, target: TruncationTarget,

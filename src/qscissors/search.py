@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .network import GqsdSpec
 from .scissors import (ConditionalAmplitudes, MeasurementEvent, TruncationTarget,
@@ -35,6 +34,12 @@ class SearchConfig:
     fix_t3: float | None = None
     dedup_tol: float = 1e-6
     min_amplitude: float = 1e-8
+
+    def __post_init__(self):
+        tolerances = (self.convergence_tol, self.dedup_tol, self.min_amplitude)
+        if (self.seeds < 0 or self.max_iterations < 1
+                or not all(0.0 < tol < math.inf for tol in tolerances)):
+            raise ValueError(f"invalid search settings {self}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,8 @@ def objective(params, event: MeasurementEvent, target: TruncationTarget,
 
 def _polish(fun, x0, max_iterations: int, tol: float):
     """Nelder-Mead with restarts from the incumbent until stagnation."""
+    from scipy.optimize import minimize  # ~50 MB and ~0.6 s to import; only searches need it
+
     best = None
     x = np.asarray(x0, dtype=float)
     for _ in range(4):
@@ -173,9 +180,15 @@ def optimize(event: MeasurementEvent, target: TruncationTarget,
 def refine(spec: GqsdSpec, event: MeasurementEvent, target: TruncationTarget,
            quotient_phase: bool = True, tol: float = 1e-10,
            fix_t3: float | None = None, max_iterations: int = 4000):
-    """Local polish of a near-solution; returns (refined spec, defect)."""
+    """Local polish of a near-solution; returns (refined spec, defect).
+
+    With ``quotient_phase`` the refined spec keeps the start's xi1: xi1 only
+    adds a global phase to every c_n, so the simplex drifts along it freely.
+    """
     fun = lambda p: objective(p, event, target,
                               quotient_phase=quotient_phase, fix_t3=fix_t3)
     x0 = spec_to_params(spec, fix_t3=fix_t3)
     res = _polish(fun, x0, max_iterations, tol)
+    if quotient_phase:
+        res.x[x0.size - 5] = x0[x0.size - 5]
     return params_to_spec(res.x, fix_t3=fix_t3), float(res.fun)

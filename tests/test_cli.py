@@ -32,6 +32,16 @@ class TestEvalNumber:
         with pytest.raises(ConfigError):
             eval_number("not a number")
 
+    def test_rejects_power_before_evaluating(self):
+        with pytest.raises(ConfigError, match="disallowed"):
+            eval_number("2**3")
+
+    @pytest.mark.parametrize("text", ["1/0", "sqrt(-1)", "cos(1e400)",
+                                      "1" + "0" * 400 + "/3"])
+    def test_evaluation_errors_are_config_errors(self, text):
+        with pytest.raises(ConfigError, match="cannot evaluate"):
+            eval_number(text)
+
 
 class TestParseComplex:
     def test_pair(self):
@@ -162,6 +172,16 @@ class TestSubcommands:
         assert main(["truncate", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "T" in err
+
+    @pytest.mark.parametrize("line", ["xi = 0, 0, 0, 0, 1e400, 0",
+                                      "alpha = (1/0, 0)",
+                                      "T = 1/3, 1/4, 1, 1/3, 2**-1"])
+    def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(QUARTIT_CONFIG + line + "\n")
+        assert main(["truncate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_defaults_without_config(self, capsys):
         assert main(["matrix"]) == 0

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import random_gqsd
-from qscissors.evolution import (OracleLimitError, apply_element, evolve,
-                                 evolve_fock_oracle)
-from qscissors.fock import MultimodeState, fock_product_state, total_photons
-from qscissors.network import BeamSplitter, GqsdSpec, PhaseShifter, gqsd_matrix
+from qscissors.evolution import OracleLimitError, evolve, evolve_fock_oracle
+from qscissors.fock import (coherent_expansion, embed_input, fock_product_state,
+                            total_photons)
+from qscissors.network import (BeamSplitter, GqsdSpec, PhaseShifter, gqsd_matrix,
+                               scattering_matrix)
 
 
 def bs5050(n_modes=2):
@@ -33,16 +34,14 @@ class TestOracle:
         assert out.amplitudes == {(1, 1, 1, 0): 1.0 + 0j}
 
     def test_single_photon_on_5050(self):
-        from qscissors.network import element_matrix
-        s = element_matrix(bs5050(), 2)
+        s = scattering_matrix([bs5050()], 2)
         out = evolve_fock_oracle(s, (1, 0))
         v = 1 / math.sqrt(2)
         assert abs(out.amplitude((1, 0)) - v) < 1e-14
         assert abs(out.amplitude((0, 1)) + v) < 1e-14
 
     def test_hong_ou_mandel(self):
-        from qscissors.network import element_matrix
-        s = element_matrix(bs5050(), 2)
+        s = scattering_matrix([bs5050()], 2)
         out = evolve_fock_oracle(s, (1, 1))
         v = 1 / math.sqrt(2)
         assert abs(out.amplitude((2, 0)) - v) < 1e-14
@@ -57,18 +56,17 @@ class TestOracle:
 class TestApplyElement:
     def test_phase_shifter(self):
         state = fock_product_state((3, 1))
-        out = apply_element(state, PhaseShifter(0, 0.7))
+        out = evolve(state, [PhaseShifter(0, 0.7)])
         assert abs(out.amplitude((3, 1)) - np.exp(2.1j)) < 1e-14
 
     def test_transparent_bs(self):
         state = fock_product_state((2, 3))
-        out = apply_element(state, BeamSplitter((0, 1), 1.0))
+        out = evolve(state, [BeamSplitter((0, 1), 1.0)])
         assert max_amplitude_diff(out, state) == 0.0
 
     def test_matches_oracle_on_hom(self):
-        from qscissors.network import element_matrix
-        out = apply_element(fock_product_state((1, 1)), bs5050())
-        ref = evolve_fock_oracle(element_matrix(bs5050(), 2), (1, 1))
+        out = evolve(fock_product_state((1, 1)), [bs5050()])
+        ref = evolve_fock_oracle(scattering_matrix([bs5050()], 2), (1, 1))
         assert max_amplitude_diff(out, ref) < 1e-14
 
 
@@ -126,3 +124,17 @@ class TestEvolve:
             right = (evolve(s1, spec.elements()).scaled(a)
                      .add(evolve(s2, spec.elements()).scaled(b)))
             assert max_amplitude_diff(left, right) < 1e-12
+
+    def test_coherent_input_matches_oracle(self, rng):
+        # keys that share modes 1-3 but fall in six photon-number sectors
+        field = coherent_expansion(np.exp(0.4j), 1e-3)
+        assert field.n_max == 5
+        for _ in range(5):
+            spec = random_gqsd(rng, n_phases=6)
+            out = evolve(embed_input(field, 3, (1, 1, 1)), spec.elements())
+            s = gqsd_matrix(spec)
+            expected = evolve_fock_oracle(s, (1, 1, 1, 0)).scaled(field.gammas[0])
+            for n in range(1, field.n_max + 1):
+                expected = expected.add(
+                    evolve_fock_oracle(s, (1, 1, 1, n)).scaled(field.gammas[n]))
+            assert max_amplitude_diff(out, expected) < 1e-11

@@ -4,29 +4,25 @@ import numpy as np
 import pytest
 
 from conftest import random_gqsd
-from qscissors.network import (BeamSplitter, GeneralBsSpec, GqsdSpec, Mirror,
+from qscissors.network import (BeamSplitter, GeneralBsSpec, GqsdSpec,
                                PhaseShifter, decompose_general_bs,
-                               element_matrix, general_bs_matrix, gqsd_matrix,
+                               general_bs_matrix, gqsd_matrix, scattering_matrix,
                                verify_unitary)
 
 
 class TestElementMatrix:
     def test_fully_transmitting_bs_is_identity(self):
-        s = element_matrix(BeamSplitter((0, 1), 1.0), 4)
+        s = scattering_matrix([BeamSplitter((0, 1), 1.0)], 4)
         assert np.allclose(s, np.eye(4), atol=0)
 
     def test_5050_block(self):
-        s = element_matrix(BeamSplitter((0, 1), 0.5), 2)
+        s = scattering_matrix([BeamSplitter((0, 1), 0.5)], 2)
         v = 1 / math.sqrt(2)
         assert np.allclose(s, [[v, v], [-v, v]], atol=1e-15)
 
     def test_phase_shifter(self):
-        s = element_matrix(PhaseShifter(0, math.pi), 4)
+        s = scattering_matrix([PhaseShifter(0, math.pi)], 4)
         assert np.allclose(s, np.diag([-1, 1, 1, 1]), atol=1e-15)
-
-    def test_mirror_acts_like_phase(self):
-        assert np.allclose(element_matrix(Mirror(2, 0.3), 4),
-                           element_matrix(PhaseShifter(2, 0.3), 4), atol=0)
 
     def test_invalid_transmittance(self):
         with pytest.raises(ValueError):
@@ -57,7 +53,7 @@ class TestGqsdMatrix:
             spec = random_gqsd(rng, n_phases=6)
             product = np.eye(4, dtype=complex)
             for element in spec.elements():
-                product = element_matrix(element, 4) @ product
+                product = scattering_matrix([element], 4) @ product
             assert np.max(np.abs(gqsd_matrix(spec) - product)) < 1e-13
 
     def test_mirror_phases_absorbable(self, rng):
@@ -95,6 +91,16 @@ class TestGqsdMatrix:
         with pytest.raises(ValueError):
             GqsdSpec([0.5, 0.5, 0.5, 0.5, 1.2])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", range(7))
+    def test_non_finite_phase_rejected(self, index, value):
+        # index 6 is mirror_zeta; a NaN phase would make every amplitude NaN
+        phases = [0.0] * 6
+        if index < 6:
+            phases[index] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            GqsdSpec([0.5] * 5, phases, mirror_zeta=value if index == 6 else 0.0)
+
 
 class TestGeneralBsDecomposition:
     def test_trivial_phases(self):
@@ -102,7 +108,7 @@ class TestGeneralBsDecomposition:
         assert phase == 0.0
         assert np.allclose(p_plus, np.eye(2), atol=0)
         assert np.allclose(p_minus, np.eye(2), atol=0)
-        assert np.allclose(b, element_matrix(BeamSplitter((0, 1), 0.3), 2), atol=0)
+        assert np.allclose(b, scattering_matrix([BeamSplitter((0, 1), 0.3)], 2), atol=0)
 
     def test_symmetric_bs_convention(self):
         # theta_t = 0, theta_r = pi/2 gives the symmetric 50:50 splitter

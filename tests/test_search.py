@@ -38,6 +38,19 @@ class TestParametrization:
             assert 0.0 <= spec.transmittances[0] <= 1.0
 
 
+class TestSearchConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("seeds", -1), ("max_iterations", 0), ("convergence_tol", 0.0),
+        ("convergence_tol", math.nan), ("dedup_tol", -1e-6),
+        ("dedup_tol", math.inf), ("min_amplitude", 0.0)])
+    def test_invalid_settings_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            SearchConfig(**{field: value})
+
+    def test_zero_random_starts_allowed(self):
+        assert SearchConfig(seeds=0).seeds == 0
+
+
 class TestObjective:
     def test_zero_at_published_solution(self):
         params = spec_to_params(TWELFTH_SPEC)
@@ -118,6 +131,15 @@ class TestRefine:
         dist = np.max(np.abs(np.array(refined.transmittances)
                              - np.array(TWELFTH_SPEC.transmittances)))
         assert dist < 1e-2
+
+    def test_global_phase_kept(self):
+        # xi1 only sets the global phase of every c_n: a polish leaves it alone
+        spec = GqsdSpec([0.34, 0.25, 1, 1 / 3, 0.5], (0.3, 0, 0, 0, PI / 2, 0))
+        start = objective(spec_to_params(spec, fix_t3=1.0), QUARTIT_EVENT,
+                          TruncationTarget.full(4), fix_t3=1.0)
+        refined, defect = refine(spec, QUARTIT_EVENT, TruncationTarget.full(4),
+                                 fix_t3=1.0, max_iterations=200)
+        assert defect < start / 10 and refined.phases[0] == 0.3
 
     def test_already_converged(self):
         refined, defect = refine(TWELFTH_SPEC, QUARTIT_EVENT,
