@@ -20,7 +20,8 @@ from .evolution import evolve
 from .fock import InputField, coherent_expansion, embed_input, fock_expansion
 from .network import GqsdSpec, gqsd_matrix, verify_unitary
 from .scissors import (MeasurementEvent, TruncationTarget, ZeroProbabilityError,
-                       conditional_amplitudes, truncate, truncation_defect)
+                       _heralded_qudit, conditional_amplitudes, truncate,
+                       truncation_defect)
 from .search import SearchConfig, optimize
 
 
@@ -294,7 +295,7 @@ def cmd_truncate(cfg: RunConfig, args) -> int:
     if len(nonzero) == 1:
         print(f"Fock synthesis |{nonzero[0]}> flagged (single nonzero amplitude)")
     try:
-        qudit, probability = truncate(spec, event, cfg.field())
+        qudit, probability = _heralded_qudit(c, event, cfg.field())
     except ZeroProbabilityError as exc:
         print(f"zero-probability outcome: {exc}")
         return 0

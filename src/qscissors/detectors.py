@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,17 +36,20 @@ class DetectorModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
-        if not 0.0 <= self.eta <= 1.0:
+        if not (math.isfinite(self.eta) and 0.0 <= self.eta <= 1.0):
             raise ValueError(f"efficiency {self.eta} outside [0, 1]")
-        if self.nu < 0.0:
-            raise ValueError(f"mean dark count {self.nu} must be >= 0")
+        if not (math.isfinite(self.nu) and self.nu >= 0.0):
+            raise ValueError(f"mean dark count {self.nu} must be finite and >= 0")
 
 
 def nu_from_dark_rate(dark_rate: float, resolution_time: float) -> float:
     """Mean dark counts per resolution window: nu = tau_res * R_dark."""
-    if dark_rate < 0.0 or resolution_time < 0.0:
-        raise ValueError("dark rate and resolution time must be >= 0")
-    return dark_rate * resolution_time
+    nu = dark_rate * resolution_time
+    # inf * 0 is nan, so a finite product of two non-negatives has finite factors.
+    if not (dark_rate >= 0.0 and resolution_time >= 0.0 and math.isfinite(nu)):
+        raise ValueError(f"dark rate {dark_rate} and resolution time {resolution_time} "
+                         f"must be >= 0 with a finite product")
+    return nu
 
 
 def povm_number_resolving(model: DetectorModel, registered: int, m_max: int) -> np.ndarray:
@@ -138,29 +142,29 @@ def conditional_density_matrix(output_state: MultimodeState, models, outcomes):
     ``models`` and ``outcomes`` are triples for detectors D2, D3, D4.
     Returns (rho, probability) where probability is the pre-normalization
     trace. The POVMs are Fock-diagonal, so the partial trace reduces to a
-    weighted sum over detected-mode occupations.
+    weighted sum over detected-mode occupations (m2, m3, m4): with
+    Phi[n1, g] the amplitude of |n1> in detected group g and w_g its POVM
+    weight w2[m2] w3[m3] w4[m4], rho = Phi diag(w) Phi^H.
     """
     if output_state.modes != 4:
         raise ValueError("expected a four-mode output state")
-    entries = output_state.items()
-    m_max = max((max(k[1], k[2], k[3]) for k, _ in entries), default=0)
+    amplitudes = output_state.amplitudes
+    keys = np.fromiter(itertools.chain.from_iterable(amplitudes), dtype=np.intp,
+                       count=4 * len(amplitudes)).reshape(-1, 4)
+    amps = np.fromiter(amplitudes.values(), dtype=complex, count=len(amplitudes))
+    m_max = int(keys[:, 1:].max(initial=0))
     weights = [povm_for_outcome(model, outcome, m_max)
                for model, outcome in zip(models, outcomes)]
 
-    dim = max((k[0] for k, _ in entries), default=0) + 1
-    rho = np.zeros((dim, dim), dtype=complex)
-    # Group amplitudes by detected-mode occupation (m2, m3, m4).
-    groups: dict[tuple[int, int, int], list] = {}
-    for key, amp in entries:
-        groups.setdefault(key[1:], []).append((key[0], amp))
-    for detected, terms in sorted(groups.items()):
-        w = (weights[0][detected[0]] * weights[1][detected[1]]
-             * weights[2][detected[2]])
-        if w == 0.0:
-            continue
-        for n, a in terms:
-            for np_, b in terms:
-                rho[n, np_] += w * a * np.conj(b)
+    # One column of Phi per detected occupation, coded in base m_max + 1.
+    detected = (keys[:, 1] * (m_max + 1) + keys[:, 2]) * (m_max + 1) + keys[:, 3]
+    codes, column = np.unique(detected, return_inverse=True)
+    w = np.empty(len(codes))
+    w[column] = weights[0][keys[:, 1]] * weights[1][keys[:, 2]] * weights[2][keys[:, 3]]
+
+    phi = np.zeros((int(keys[:, 0].max(initial=0)) + 1, len(codes)), dtype=complex)
+    phi[keys[:, 0], column] = amps
+    rho = (phi * w) @ phi.conj().T
 
     probability = float(np.real(np.trace(rho)))
     if probability < 1e-30:

@@ -11,6 +11,8 @@ from .fock import MultimodeState, total_photons
 from .network import scattering_matrix
 
 ORACLE_PHOTON_LIMIT = 8
+# Trailing photons whose N^block target tuples the oracle handles as one array.
+_ORACLE_BLOCK = 6
 
 
 class OracleLimitError(RuntimeError):
@@ -22,8 +24,12 @@ def evolve_fock_oracle(s: np.ndarray, occupation,
     """Evolve a single Fock product state by brute-force multi-index summation.
 
     Expands prod_i (sum_j S_ji a_j^dag)^{n_i} |0> over all N^M index
-    tuples (M = total photons). Exponential cost; intended as the trusted
-    reference for the fast path.
+    tuples (M = total photons): each tuple (j_1 .. j_M) contributes
+    prod_p S[j_p, label_p] to the key that counts its targets. The last
+    ``_ORACLE_BLOCK`` photons form one numpy block of N^block tuples, in
+    itertools.product order; a Python loop runs over the leading photons.
+    Exponential cost; intended as the trusted reference for the fast path,
+    so it shares no code with it.
     """
     s = np.asarray(s, dtype=complex)
     n_modes = s.shape[0]
@@ -41,22 +47,29 @@ def evolve_fock_oracle(s: np.ndarray, occupation,
     # Creation-operator source label per photon: n_i copies of mode i.
     labels = [i for i, n in enumerate(occupation) for _ in range(n)]
     prefactor = 1.0 / math.sqrt(math.prod(math.factorial(n) for n in occupation))
+    lead = max(m_total - _ORACLE_BLOCK, 0)
 
-    amps: dict[tuple[int, ...], complex] = {}
-    for targets in itertools.product(range(n_modes), repeat=m_total):
-        coeff = prefactor
-        for j, x in zip(targets, labels):
-            coeff *= s[j, x]
-        if coeff == 0:
-            continue
-        key = [0] * n_modes
-        for j in targets:
-            key[j] += 1
-        key = tuple(key)
-        # a^dag string on vacuum contributes sqrt(m_k!) per mode.
-        coeff *= math.sqrt(math.prod(math.factorial(m) for m in key))
-        amps[key] = amps.get(key, 0j) + coeff
-    return MultimodeState(n_modes, amps)
+    # A key (k_1 .. k_N) is coded as sum_j k_j (M+1)^j, one place per target.
+    place = (m_total + 1) ** np.arange(n_modes, dtype=np.int64)
+    tail_coeff, tail_code = np.ones(1, dtype=complex), np.zeros(1, dtype=np.int64)
+    for x in labels[lead:]:
+        tail_coeff = np.multiply.outer(tail_coeff, s[:, x]).ravel()
+        tail_code = np.add.outer(tail_code, place).ravel()
+    tail_codes, tail_group = np.unique(tail_code, return_inverse=True)
+    heads = list(itertools.product(range(n_modes), repeat=lead))
+    head_codes = [place[list(head)].sum() for head in heads]
+    # key_index[h, g]: the key reached by head h followed by a tail of group g.
+    codes, key_index = np.unique(np.add.outer(head_codes, tail_codes), return_inverse=True)
+
+    amps = np.zeros(len(codes), dtype=complex)
+    for head, index in zip(heads, key_index.reshape(len(heads), -1)):
+        coeff = prefactor * math.prod(s[j, x] for j, x in zip(head, labels)) * tail_coeff
+        amps += np.bincount(index[tail_group], coeff.real, len(codes))
+        amps += 1j * np.bincount(index[tail_group], coeff.imag, len(codes))
+    keys = codes[:, None] // place % (m_total + 1)
+    # a^dag string on vacuum contributes sqrt(m_k!) per mode.
+    amps *= np.sqrt([math.prod(math.factorial(m) for m in key) for key in keys.tolist()])
+    return MultimodeState(n_modes, dict(zip(map(tuple, keys.tolist()), amps.tolist())))
 
 
 def _create(amps: np.ndarray, column, photons: int, k: int, cut=None) -> np.ndarray:

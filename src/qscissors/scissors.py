@@ -138,7 +138,11 @@ def truncate(spec: GqsdSpec, event: MeasurementEvent, field: InputField):
     proportional to c_n * gamma_n and the Born probability of the exact
     heralding outcome under ideal number-resolving detection.
     """
-    c = conditional_amplitudes(spec, event)
+    return _heralded_qudit(conditional_amplitudes(spec, event), event, field)
+
+
+def _heralded_qudit(c: ConditionalAmplitudes, event: MeasurementEvent, field: InputField):
+    """The qudit c_n * gamma_n, normalized, and its probability (see ``truncate``)."""
     sigma = np.array([c.c[n] * field.coefficient(n) for n in range(c.d)], dtype=complex)
     probability = float(np.sum(np.abs(sigma) ** 2))
     norm = math.sqrt(probability)

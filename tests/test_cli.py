@@ -183,5 +183,28 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    # the last case overflows nu = tau_res * r_dark_c to inf
+    @pytest.mark.parametrize("lines", ["r_dark_c = 1e400", "tau_res = 1e400",
+                                       "eta_s = 1e400",
+                                       "tau_res = 1e300\nr_dark_c = 1e300"])
+    def test_non_finite_detector_value_exits_2(self, tmp_path, capsys, lines):
+        path = tmp_path / "bad.cfg"
+        path.write_text(QUARTIT_CONFIG + lines + "\n")
+        assert main(["fidelity", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_truncate_computes_amplitudes_once(self, config_path, capsys, monkeypatch):
+        from qscissors import scissors
+        original, calls = scissors.projected_amplitudes, []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(scissors, "projected_amplitudes", counted)
+        assert main(["truncate", "--config", config_path]) == 0
+        assert len(calls) == 1
+
     def test_defaults_without_config(self, capsys):
         assert main(["matrix"]) == 0

@@ -1,17 +1,20 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qscissors.detectors import (CONVENTIONAL, NUMBER_RESOLVING, SINGLE_PHOTON,
-                                 DetectorModel, conditional_density_matrix,
+from qscissors.detectors import (CONVENTIONAL, KINDS, NUMBER_RESOLVING,
+                                 SINGLE_PHOTON, DetectorModel, conditional_density_matrix,
                                  fidelity, nu_from_dark_rate, outcome_family,
                                  outcome_for_count, povm_for_outcome,
                                  povm_number_resolving)
 from qscissors.evolution import evolve
-from qscissors.fock import QuditState, coherent_expansion, embed_input
+from qscissors.fock import MultimodeState, QuditState, coherent_expansion, embed_input
 from qscissors.network import GqsdSpec
-from qscissors.scissors import MeasurementEvent, truncate
+from qscissors.scissors import MeasurementEvent, ZeroProbabilityError, truncate
 
 PI = math.pi
 
@@ -25,6 +28,40 @@ def quartit_output_state(alpha=0.4):
     return field, evolve(psi, TWELFTH_SPEC.elements())
 
 
+def reference_density_matrix(state, models, outcomes):
+    """Unnormalized rho and its trace by a double loop over entries sharing (m2, m3, m4)."""
+    m_max = max(max(key[1:]) for key in state.amplitudes)
+    w = [povm_for_outcome(model, outcome, m_max)
+         for model, outcome in zip(models, outcomes)]
+    rho = np.zeros((max(key[0] for key in state.amplitudes) + 1,) * 2, dtype=complex)
+    for (n, *m), a in state.amplitudes.items():
+        for (n_, *m_), b in state.amplitudes.items():
+            if m == m_:
+                rho[n, n_] += w[0][m[0]] * w[1][m[1]] * w[2][m[2]] * a * np.conj(b)
+    return rho, rho.trace().real
+
+
+def random_sparse_state(rng, terms=60):
+    """Four-mode state with gaps in n1 and detected counts 0..3."""
+    n1 = rng.choice([0, 2, 3, 6], size=terms)
+    detected = rng.integers(0, 4, size=(terms, 3))
+    amps = rng.standard_normal(terms) + 1j * rng.standard_normal(terms)
+    return MultimodeState(4, {(int(n), *map(int, m)): a
+                              for n, m, a in zip(n1, detected, amps)})
+
+
+def outcome_probability_total(state, models):
+    """Sum of the outcome probabilities over every outcome triple."""
+    m_max = max(max(key[1:]) for key in state.amplitudes)
+    total = 0.0
+    for outcomes in itertools.product(*(outcome_family(model, m_max) for model in models)):
+        try:
+            total += conditional_density_matrix(state, models, outcomes)[1]
+        except ZeroProbabilityError:
+            pass
+    return total
+
+
 class TestDarkCounts:
     def test_published_windows(self):
         assert abs(nu_from_dark_rate(100.0, 10e-9) - 1e-6) < 1e-20
@@ -34,6 +71,13 @@ class TestDarkCounts:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             nu_from_dark_rate(-1.0, 1e-9)
+
+    @pytest.mark.parametrize("dark_rate, resolution_time",
+                             [(math.inf, 1e-8), (math.nan, 1e-8), (100.0, math.inf),
+                              (100.0, math.nan), (math.inf, 0.0), (1e300, 1e300)])
+    def test_non_finite_rejected(self, dark_rate, resolution_time):
+        with pytest.raises(ValueError):
+            nu_from_dark_rate(dark_rate, resolution_time)
 
 
 class TestPovmWeights:
@@ -83,6 +127,13 @@ class TestPovmWeights:
             DetectorModel(CONVENTIONAL, eta=1.5)
         with pytest.raises(ValueError):
             DetectorModel(CONVENTIONAL, nu=-1e-6)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("eta, nu", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+                                         (0.9, math.nan), (0.9, math.inf)])
+    def test_non_finite_parameters_rejected(self, kind, eta, nu):
+        with pytest.raises(ValueError):
+            DetectorModel(kind, eta, nu)
 
 
 class TestOutcomeMapping:
@@ -137,12 +188,53 @@ class TestConditionalDensityMatrix:
             fids.append(fidelity(rho, ideal))
         assert fids[0] > fids[1] > fids[2]
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_double_loop_reference(self, rng, kind):
+        zero_weight_groups = 0
+        for _ in range(20):
+            state = random_sparse_state(rng)
+            # eta = 1 and nu = 0 make every other count's weight exactly zero
+            eta, nu = ((1.0, 0.0), (0.6, 0.0), (0.8, 0.05))[int(rng.integers(3))]
+            models = [DetectorModel(kind, eta, nu)] * 3
+            outcomes = [outcome_for_count(kind, int(n)) for n in rng.integers(0, 3, 3)]
+            expected, p_expected = reference_density_matrix(state, models, outcomes)
+            if p_expected == 0.0:
+                with pytest.raises(ZeroProbabilityError):
+                    conditional_density_matrix(state, models, outcomes)
+                continue
+            rho, probability = conditional_density_matrix(state, models, outcomes)
+            assert abs(probability - p_expected) < 1e-13 * p_expected
+            assert np.max(np.abs(rho - expected / p_expected)) < 1e-13
+            w = [povm_for_outcome(m, o, 3) for m, o in zip(models, outcomes)]
+            zero_weight_groups += sum(w[0][k[1]] * w[1][k[2]] * w[2][k[3]] == 0.0
+                                      for k in state.amplitudes)
+        assert zero_weight_groups > 0
+
     def test_requires_four_modes(self):
         from qscissors.fock import MultimodeState
         state = MultimodeState(3, {(0, 0, 0): 1.0})
         with pytest.raises(ValueError):
             conditional_density_matrix(
                 state, [DetectorModel(CONVENTIONAL)] * 3, ("click",) * 3)
+
+
+class TestDensityMatrixProperties:
+    @settings(max_examples=8, deadline=None)
+    @given(magnitude=st.floats(0.05, 0.5), phase=st.floats(-PI, PI),
+           kind=st.sampled_from(KINDS), eta=st.floats(0.3, 1.0),
+           nu=st.sampled_from([0.0, 1e-4, 0.02]))
+    def test_heralded_state_is_a_density_matrix(self, magnitude, phase, kind, eta, nu):
+        field = coherent_expansion(magnitude * np.exp(1j * phase), 1e-3)
+        psi = embed_input(field, 3, QUARTIT_EVENT.fock_inputs)
+        phi = evolve(psi, TWELFTH_SPEC.elements())
+        models = [DetectorModel(kind, eta, nu)] * 3
+        outcomes = [outcome_for_count(kind, n) for n in QUARTIT_EVENT.counts]
+        rho, probability = conditional_density_matrix(phi, models, outcomes)
+        assert 0.0 < probability <= 1.0 + 1e-12
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-14
+        assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+        assert abs(outcome_probability_total(phi, models) - 1.0) < 1e-9
 
 
 class TestFidelity:

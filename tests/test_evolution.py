@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,22 @@ def random_occupation(rng, n_modes, max_total):
     for _ in range(total):
         occ[int(rng.integers(0, n_modes))] += 1
     return tuple(occ)
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def permanent_amplitude(s, occ_in, occ_out):
+    """<occ_out| U |occ_in> = perm(S[rows, cols]) / sqrt(prod n_i! prod m_j!)."""
+    cols = [i for i, n in enumerate(occ_in) for _ in range(n)]
+    rows = [j for j, m in enumerate(occ_out) for _ in range(m)]
+    sub = s[np.ix_(rows, cols)]
+    perm = sum(math.prod(sub[sigma[c], c] for c in range(len(cols)))
+               for sigma in itertools.permutations(range(len(rows))))
+    factorials = math.prod(math.factorial(n) for n in occ_in + occ_out)
+    return perm / math.sqrt(factorials)
 
 
 def max_amplitude_diff(a, b):
@@ -47,6 +64,19 @@ class TestOracle:
         assert abs(out.amplitude((2, 0)) - v) < 1e-14
         assert abs(out.amplitude((0, 2)) + v) < 1e-14
         assert abs(out.amplitude((1, 1))) < 1e-14  # two-photon cancellation
+
+    @pytest.mark.parametrize("n_modes", [2, 3, 4])
+    def test_matches_permanent_formula(self, rng, n_modes):
+        for total in range(1, 7):
+            s = random_unitary(rng, n_modes)
+            occ = tuple(int(n) for n in np.bincount(rng.integers(0, n_modes, total),
+                                                    minlength=n_modes))
+            out = evolve_fock_oracle(s, occ)
+            outputs = [m for m in itertools.product(range(total + 1), repeat=n_modes)
+                       if sum(m) == total]
+            assert set(out.amplitudes) <= set(outputs)
+            for m in outputs:
+                assert abs(out.amplitude(m) - permanent_amplitude(s, occ, m)) < 1e-13
 
     def test_photon_limit(self):
         with pytest.raises(OracleLimitError):
