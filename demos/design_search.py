@@ -1,7 +1,7 @@
-"""Designing devices: the solution catalog and derivative-free search.
+"""Designing devices: the solution catalog and least-squares search.
 
 Verifies every cataloged solution, sweeps the analytic qutrit relation,
-and runs a short multi-start simplex search for qubit truncators.
+and runs a short multi-start Levenberg-Marquardt search for qubit truncators.
 """
 
 import numpy as np

@@ -2,7 +2,7 @@
 
 Simulation and design of post-selected optical-state truncation: Fock-state
 evolution on the scattering matrix of beam-splitter/phase-shifter networks,
-heralded qudit truncation and teleportation (d = 2..6), derivative-free
+heralded qudit truncation and teleportation (d = 2..6), least-squares
 parameter search for truncation / hole-burning / Fock-filtering targets,
 and truncation fidelities under realistic photodetectors.
 """

@@ -180,9 +180,7 @@ class CatalogResult:
 
 def verify_entry(entry: CatalogEntry) -> CatalogResult:
     c = conditional_amplitudes(entry.spec, entry.event)
-    # Solutions are published modulo one global phase, so check the
-    # phase-quotiented defect.
-    defect = truncation_defect(c, entry.target, quotient_phase=True)
+    defect = truncation_defect(c, entry.target)
     vals = np.abs(c.as_array())
     removed = sorted(entry.target.removed)
     suppressed = float(max((vals[n] for n in removed), default=0.0))

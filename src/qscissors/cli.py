@@ -111,7 +111,6 @@ class RunConfig:
     max_iterations: int = 4000
     convergence_tol: float = 1e-12
     random_seed: int = 0
-    quotient_phase: bool = True
     fix_t3: float | None = None
 
     def spec(self) -> GqsdSpec:
@@ -138,9 +137,7 @@ class RunConfig:
     def search_config(self) -> SearchConfig:
         return SearchConfig(seeds=self.seeds, max_iterations=self.max_iterations,
                             convergence_tol=self.convergence_tol,
-                            random_seed=self.random_seed,
-                            quotient_phase=self.quotient_phase,
-                            fix_t3=self.fix_t3)
+                            random_seed=self.random_seed, fix_t3=self.fix_t3)
 
     @staticmethod
     def parse(text: str) -> "RunConfig":
@@ -154,7 +151,7 @@ class RunConfig:
             key, value = (s.strip() for s in line.split("=", 1))
             try:
                 _assign(cfg, key, value)
-            except ConfigError as exc:
+            except (ConfigError, OverflowError) as exc:  # OverflowError: int(inf)
                 raise ConfigError(f"line {lineno}, field {key!r}: {exc}") from exc
         return cfg
 
@@ -184,7 +181,6 @@ class RunConfig:
             f"max_iterations = {self.max_iterations}",
             f"convergence_tol = {fmt(self.convergence_tol)}",
             f"random_seed = {self.random_seed}",
-            f"quotient_phase = {'true' if self.quotient_phase else 'false'}",
         ]
         if self.fix_t3 is not None:
             lines.append(f"fix_t3 = {fmt(self.fix_t3)}")
@@ -229,10 +225,6 @@ def _assign(cfg: RunConfig, key: str, value: str):
         setattr(cfg, key, int(eval_number(value)))
     elif key == "convergence_tol":
         cfg.convergence_tol = eval_number(value)
-    elif key == "quotient_phase":
-        if value.lower() not in ("true", "false"):
-            raise ConfigError(f"expected true/false, got {value!r}")
-        cfg.quotient_phase = value.lower() == "true"
     elif key == "fix_t3":
         cfg.fix_t3 = eval_number(value)
     else:
@@ -284,13 +276,12 @@ def cmd_matrix(cfg: RunConfig, args) -> int:
 def cmd_truncate(cfg: RunConfig, args) -> int:
     spec, event, target = cfg.spec(), cfg.event(), cfg.target()
     c = conditional_amplitudes(spec, event)
-    defect_raw = truncation_defect(c, target, quotient_phase=False)
-    defect_q = truncation_defect(c, target, quotient_phase=True)
+    defect = truncation_defect(c, target)  # the same with or without the global phase
     print(f"d = {c.d}; retained indices {sorted(target.keep)}")
     for n, cn in enumerate(c.c):
         print(f"  c_{n} = {cn.real:+.6f}{cn.imag:+.6f}j  (|c_{n}| = {abs(cn):.6f})")
-    print(f"defect (raw)            = {defect_raw:.6e}")
-    print(f"defect (phase-quotient) = {defect_q:.6e}")
+    print(f"defect (raw)            = {defect:.6e}")
+    print(f"defect (phase-quotient) = {defect:.6e}")
     nonzero = [n for n, cn in enumerate(c.c) if abs(cn) > 1e-10]
     if len(nonzero) == 1:
         print(f"Fock synthesis |{nonzero[0]}> flagged (single nonzero amplitude)")
@@ -304,7 +295,7 @@ def cmd_truncate(cfg: RunConfig, args) -> int:
     print(f"success probability = {probability:.6e}")
     rows = [(n, float(cn.real), float(cn.imag), float(qudit.coeffs[n].real),
              float(qudit.coeffs[n].imag)) for n, cn in enumerate(c.c)]
-    rows.append(("probability", probability, defect_raw, defect_q, 0.0))
+    rows.append(("probability", probability, defect, defect, 0.0))
     _emit(args.out, args.format, rows, ("n", "c_re", "c_im", "out_re", "out_im"))
     return 0
 
@@ -384,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write structured output to this path")
         p.add_argument("--format", choices=("csv", "text"), default="text")
         p.add_argument("--seed", type=int, help="override the search random seed")
-        p.add_argument("--quotient-phase", choices=("true", "false"),
-                       help="override the defect phase convention")
         if name == "optimize":
             p.add_argument("--seed-from-config", action="store_true",
                            help="use the config's device as the first start")
@@ -406,10 +395,8 @@ def main(argv=None) -> int:
             cfg = RunConfig()
         if args.seed is not None:
             cfg.random_seed = args.seed
-        if args.quotient_phase is not None:
-            cfg.quotient_phase = args.quotient_phase == "true"
         return args.func(cfg, args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ZeroProbabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -118,6 +118,8 @@ def fock_expansion(gammas) -> InputField:
     g = np.asarray(list(gammas), dtype=complex)
     if g.size == 0:
         raise ValueError("expansion must have at least one coefficient")
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"non-finite expansion coefficients {g.tolist()}")
     norm = np.linalg.norm(g)
     if norm < PRUNE_TOL:
         raise ValueError("expansion coefficients are all zero")

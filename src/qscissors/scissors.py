@@ -31,8 +31,11 @@ class MeasurementEvent:
     counts: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "fock_inputs", tuple(int(n) for n in self.fock_inputs))
-        object.__setattr__(self, "counts", tuple(int(n) for n in self.counts))
+        try:
+            object.__setattr__(self, "fock_inputs", tuple(int(n) for n in self.fock_inputs))
+            object.__setattr__(self, "counts", tuple(int(n) for n in self.counts))
+        except OverflowError as exc:  # int(inf); int(nan) raises ValueError itself
+            raise ValueError(f"photon numbers must be finite: {exc}") from exc
         if len(self.fock_inputs) != 3 or len(self.counts) != 3:
             raise ValueError("event needs 3 Fock inputs and 3 detector counts")
         if any(n < 0 for n in self.fock_inputs + self.counts):
@@ -111,16 +114,14 @@ def truncation_defect(c: ConditionalAmplitudes, target: TruncationTarget,
     """Deviation of the heralded coefficients from the target pattern.
 
     Sums |c_n - c_k0| over retained indices (k0 = min of the retained set)
-    plus |c_n| over removed indices. With ``quotient_phase`` the
-    coefficients are first rotated by exp(-i arg(c_k0)), matching the
-    convention in which one global phase is dropped.
+    plus |c_n| over removed indices. A global phase on every c_n leaves
+    each term unchanged, so ``quotient_phase`` (drop that phase first)
+    does not change the value.
     """
     if c.d != target.d:
         raise ValueError(f"amplitude dimension {c.d} != target dimension {target.d}")
     vals = c.as_array()
     k0 = min(target.keep)
-    if quotient_phase and abs(vals[k0]) > 0.0:
-        vals = vals * cmath.exp(-1j * cmath.phase(vals[k0]))
     defect = 0.0
     for n in range(c.d):
         if n in target.keep:

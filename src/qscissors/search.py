@@ -1,36 +1,36 @@
-"""Derivative-free search over device parameters for truncation targets."""
+"""Least-squares search over device parameters for truncation targets."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .network import GqsdSpec
-from .scissors import (ConditionalAmplitudes, MeasurementEvent, TruncationTarget,
-                       conditional_amplitudes, symmetry_transforms, truncation_defect)
+from .scissors import (MeasurementEvent, TruncationTarget, conditional_amplitudes,
+                       symmetry_transforms, truncation_defect)
 
 TWO_PI = 2.0 * math.pi
+JACOBIAN_STEP = 1e-6
+STEP_CAP = 0.01  # largest change of one parameter per step
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Multi-start simplex search settings.
+    """Multi-start Levenberg-Marquardt search settings.
 
+    ``max_iterations`` caps the residual evaluations of each start.
     ``fix_t3`` pins the middle transmittance (e.g. 1.0 to freeze BS3 out
     of the search); the corresponding angle is then removed from the
     search vector. Converged points whose heralded amplitude |c_k0| falls
-    below ``min_amplitude`` are discarded: the defect also vanishes in the
-    degenerate limit where every coefficient goes to zero, and those
-    points have no success probability.
+    below ``min_amplitude`` are discarded for lack of success probability.
     """
 
     seeds: int = 20
     max_iterations: int = 4000
     convergence_tol: float = 1e-12
     random_seed: int = 0
-    quotient_phase: bool = True
     fix_t3: float | None = None
     dedup_tol: float = 1e-6
     min_amplitude: float = 1e-8
@@ -49,7 +49,6 @@ class SolutionRecord:
     target: TruncationTarget
     defect: float
     amplitude: float
-    source: str = "found"
 
 
 def params_to_spec(params, fix_t3: float | None = None) -> GqsdSpec:
@@ -60,15 +59,11 @@ def params_to_spec(params, fix_t3: float | None = None) -> GqsdSpec:
     absent and the vector has 9 entries.
     """
     params = np.asarray(params, dtype=float)
-    if fix_t3 is None:
-        thetas = params[:5]
-        transmittances = np.cos(thetas) ** 2
-    else:
-        thetas = params[:4]
-        t = np.cos(thetas) ** 2
-        transmittances = np.array([t[0], t[1], fix_t3, t[2], t[3]])
-    phases = tuple(params[len(thetas):]) + (0.0,)
-    return GqsdSpec(tuple(transmittances), phases)
+    n_thetas = 5 if fix_t3 is None else 4
+    transmittances = list(np.cos(params[:n_thetas]) ** 2)
+    if fix_t3 is not None:
+        transmittances.insert(2, fix_t3)
+    return GqsdSpec(tuple(transmittances), tuple(params[n_thetas:]) + (0.0,))
 
 
 def spec_to_params(spec: GqsdSpec, fix_t3: float | None = None) -> np.ndarray:
@@ -81,30 +76,61 @@ def spec_to_params(spec: GqsdSpec, fix_t3: float | None = None) -> np.ndarray:
 
 def objective(params, event: MeasurementEvent, target: TruncationTarget,
               quotient_phase: bool = True, fix_t3: float | None = None) -> float:
-    """Truncation defect of the device encoded by ``params``."""
+    """Defect of the device encoded by ``params``; ``quotient_phase`` has no effect."""
     spec = params_to_spec(params, fix_t3=fix_t3)
     c = conditional_amplitudes(spec, event)
-    return truncation_defect(c, target, quotient_phase=quotient_phase)
+    return truncation_defect(c, target)
 
 
-def _polish(fun, x0, max_iterations: int, tol: float):
-    """Nelder-Mead with restarts from the incumbent until stagnation."""
-    from scipy.optimize import minimize  # ~50 MB and ~0.6 s to import; only searches need it
+def _fit_pattern(x0, event: MeasurementEvent, target: TruncationTarget,
+                 fix_t3: float | None, max_evaluations: int, tol: float) -> np.ndarray:
+    """Levenberg-Marquardt fit of c_n / c_k0 to the target pattern, from ``x0``.
 
-    best = None
+    The residual c_n / c_k0 - [n in K] (n != k0, real and imaginary parts)
+    has moduli summing to defect / |c_k0|: the all-zero limit is no solution,
+    and the global phase, set by xi1 alone, drops out (xi1 never moves).
+    Central-difference Jacobian, Marquardt scaling, steps capped at
+    ``STEP_CAP`` per coordinate (uncapped ones slide along solution families
+    towards c = 0), angles held in [0, pi/2]. Returns the last accepted point
+    once defect / |c_k0| < ``tol``, before a Jacobian would pass
+    ``max_evaluations`` residual evaluations, or when the damped step stalls.
+    """
+    k0 = min(target.keep)
+    pattern = np.array([n in target.keep for n in range(target.d) if n != k0], dtype=float)
+
+    def residual(params):
+        c = conditional_amplitudes(params_to_spec(params, fix_t3=fix_t3), event).as_array()
+        if c[k0] == 0:
+            return np.full(2 * pattern.size, np.inf)
+        return (np.delete(c, k0) / c[k0] - pattern).view(float)
+
     x = np.asarray(x0, dtype=float)
-    for _ in range(4):
-        res = minimize(fun, x, method="Nelder-Mead",
-                       options={"maxiter": max_iterations,
-                                "xatol": 1e-13, "fatol": 1e-14})
-        if best is None or res.fun < best.fun:
-            best = res
-        if best.fun < tol:
-            break
-        if np.allclose(x, best.x):
-            break
-        x = best.x
-    return best
+    n_thetas = x.size - 5
+    directions = np.delete(np.eye(x.size), n_thetas, axis=0) * JACOBIAN_STEP
+    r = residual(x)
+    evaluations, damping = 1, 1e-3
+    while (tol <= np.sum(np.abs(r.view(complex))) < math.inf
+           and evaluations + 2 * len(directions) < max_evaluations):
+        jacobian = np.column_stack([(residual(x + h) - residual(x - h)) / (2 * JACOBIAN_STEP)
+                                    for h in directions])
+        evaluations += 2 * len(directions)
+        scale = np.sum(jacobian ** 2, axis=0)
+        rhs = np.concatenate([-r, np.zeros(len(directions))])
+        while evaluations < max_evaluations:
+            system = np.vstack([jacobian, np.diag(np.sqrt(damping * scale))])
+            step = np.linalg.lstsq(system, rhs, rcond=None)[0]
+            trial = x + np.insert(np.clip(step, -STEP_CAP, STEP_CAP), n_thetas, 0.0)
+            trial[:n_thetas] = np.clip(trial[:n_thetas], 0.0, math.pi / 2)
+            if np.array_equal(trial, x):
+                return x
+            r_trial = residual(trial)
+            evaluations += 1
+            if r_trial @ r_trial < r @ r:
+                x, r = trial, r_trial
+                damping /= 10.0
+                break
+            damping *= 10.0
+    return x
 
 
 def _canonical_key(spec: GqsdSpec, dedup_tol: float):
@@ -114,21 +140,11 @@ def _canonical_key(spec: GqsdSpec, dedup_tol: float):
 
 
 def _orbit(spec: GqsdSpec) -> list:
-    """Spec plus its symmetry images (where the t3 = 1 transforms apply)."""
-    specs = [spec]
-    if abs(spec.transmittances[2] - 1.0) < 1e-9:
-        try:
-            images = symmetry_transforms(spec)
-        except ValueError:
-            images = []
-        for s in images:
-            specs.append(s)
-            # compose the two reflection transforms as well
-            try:
-                specs.extend(symmetry_transforms(s))
-            except ValueError:
-                pass
-    return specs
+    """Spec, its symmetry images and their images (where the t3 = 1 transforms apply)."""
+    if abs(spec.transmittances[2] - 1.0) >= 1e-9:
+        return [spec]
+    images = symmetry_transforms(spec)
+    return [spec] + images + [s for image in images for s in symmetry_transforms(image)]
 
 
 def _is_duplicate(spec: GqsdSpec, seen: set, dedup_tol: float) -> bool:
@@ -137,12 +153,13 @@ def _is_duplicate(spec: GqsdSpec, seen: set, dedup_tol: float) -> bool:
 
 def optimize(event: MeasurementEvent, target: TruncationTarget,
              config: SearchConfig, seed_specs=()) -> list:
-    """Multi-start simplex minimization of the truncation defect.
+    """Multi-start Levenberg-Marquardt fit of the truncation pattern.
 
     ``seed_specs`` are tried first; the remaining starts are drawn from
-    the configured RNG. Converged runs (defect < convergence_tol) are
-    de-duplicated modulo the published parameter symmetries and returned
-    sorted by descending heralded amplitude |c_k0|.
+    the configured RNG. Each start ends where defect / |c_k0| falls below
+    ``convergence_tol`` or after ``max_iterations`` residual evaluations.
+    Converged runs are de-duplicated modulo the published parameter
+    symmetries and returned sorted by descending heralded amplitude |c_k0|.
     """
     rng = np.random.default_rng(config.random_seed)
     fix_t3 = config.fix_t3
@@ -154,25 +171,22 @@ def optimize(event: MeasurementEvent, target: TruncationTarget,
         phases = rng.uniform(-math.pi, math.pi, 5)
         starts.append(np.concatenate([thetas, phases]))
 
-    fun = lambda p: objective(p, event, target,
-                              quotient_phase=config.quotient_phase, fix_t3=fix_t3)
     records = []
     seen: set = set()
     k0 = min(target.keep)
     for x0 in starts:
-        res = _polish(fun, x0, config.max_iterations, config.convergence_tol)
-        if res.fun >= config.convergence_tol:
-            continue
-        spec = params_to_spec(res.x, fix_t3=fix_t3)
-        if _is_duplicate(spec, seen, config.dedup_tol):
-            continue
+        x = _fit_pattern(x0, event, target, fix_t3, config.max_iterations,
+                         config.convergence_tol)
+        spec = params_to_spec(x, fix_t3=fix_t3)
         c = conditional_amplitudes(spec, event)
-        if abs(c.c[k0]) < config.min_amplitude:
+        defect, amplitude = truncation_defect(c, target), abs(c.c[k0])
+        if (amplitude < config.min_amplitude
+                or defect >= config.convergence_tol * amplitude
+                or _is_duplicate(spec, seen, config.dedup_tol)):
             continue
         seen.add(_canonical_key(spec, config.dedup_tol))
-        records.append(SolutionRecord(
-            spec=spec, event=event, target=target,
-            defect=float(res.fun), amplitude=float(abs(c.c[k0])), source="found"))
+        records.append(SolutionRecord(spec=spec, event=event, target=target,
+                                      defect=defect, amplitude=amplitude))
     records.sort(key=lambda r: -r.amplitude)
     return records
 
@@ -182,13 +196,11 @@ def refine(spec: GqsdSpec, event: MeasurementEvent, target: TruncationTarget,
            fix_t3: float | None = None, max_iterations: int = 4000):
     """Local polish of a near-solution; returns (refined spec, defect).
 
-    With ``quotient_phase`` the refined spec keeps the start's xi1: xi1 only
-    adds a global phase to every c_n, so the simplex drifts along it freely.
+    Runs until defect / |c_k0| < ``tol`` or ``max_iterations`` residual
+    evaluations. The refined spec keeps the start's xi1, which only adds a
+    global phase to every c_n. ``quotient_phase`` does not change the
+    result (see ``truncation_defect``).
     """
-    fun = lambda p: objective(p, event, target,
-                              quotient_phase=quotient_phase, fix_t3=fix_t3)
-    x0 = spec_to_params(spec, fix_t3=fix_t3)
-    res = _polish(fun, x0, max_iterations, tol)
-    if quotient_phase:
-        res.x[x0.size - 5] = x0[x0.size - 5]
-    return params_to_spec(res.x, fix_t3=fix_t3), float(res.fun)
+    x = _fit_pattern(spec_to_params(spec, fix_t3=fix_t3), event, target, fix_t3,
+                     max_iterations, tol)
+    return params_to_spec(x, fix_t3=fix_t3), objective(x, event, target, fix_t3=fix_t3)

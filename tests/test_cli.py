@@ -175,7 +175,11 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("line", ["xi = 0, 0, 0, 0, 1e400, 0",
                                       "alpha = (1/0, 0)",
-                                      "T = 1/3, 1/4, 1, 1/3, 2**-1"])
+                                      "T = 1/3, 1/4, 1, 1/3, 2**-1",
+                                      "field_kind = fock\ngammas = 1e400, 1",
+                                      "fock_inputs = 1e400, 0, 0",
+                                      "seeds = 1e400",
+                                      "quotient_phase = true"])
     def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, line):
         path = tmp_path / "bad.cfg"
         path.write_text(QUARTIT_CONFIG + line + "\n")
@@ -193,6 +197,20 @@ class TestSubcommands:
         assert main(["fidelity", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_zero_probability_outcome_exits_2(self, tmp_path, capsys):
+        # nu = 1e304 dark counts: no detector reports exactly one photon
+        path = tmp_path / "dark.cfg"
+        path.write_text(QUARTIT_CONFIG + "tau_res = 1e300\n")
+        assert main(["fidelity", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_quotient_phase_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["truncate", "--quotient-phase", "true"])
+        assert exc.value.code == 2
+        assert "quotient_phase" not in RunConfig().serialize()
 
     def test_truncate_computes_amplitudes_once(self, config_path, capsys, monkeypatch):
         from qscissors import scissors

@@ -47,6 +47,13 @@ class TestCoherentExpansion:
             coherent_expansion(0.4, tail_epsilon=1.5)
 
 
+class TestFockExpansion:
+    @pytest.mark.parametrize("gammas", [[1e400, 1], [1, complex(0, math.nan)]])
+    def test_non_finite_coefficients_rejected(self, gammas):
+        with pytest.raises(ValueError, match="non-finite"):
+            fock_expansion(gammas)
+
+
 class TestFockProductState:
     def test_single_key(self):
         state = fock_product_state((1, 1, 1, 0))

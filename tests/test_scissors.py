@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import align_phase, random_gqsd
 from qscissors.fock import coherent_expansion, fock_expansion
@@ -33,6 +35,12 @@ class TestMeasurementEvent:
     def test_dimension(self):
         assert QUARTIT_EVENT.dim == 4
         assert MeasurementEvent((1, 2, 1), (1, 2, 1)).dim == 5
+
+    @pytest.mark.parametrize("inputs, counts", [
+        ((math.inf, 0, 0), (1, 0, 0)), ((1, 0, 0), (math.nan, 0, 0))])
+    def test_non_finite_photon_numbers_rejected(self, inputs, counts):
+        with pytest.raises(ValueError):
+            MeasurementEvent(inputs, counts)
 
     def test_photon_conservation_required(self):
         with pytest.raises(ValueError):
@@ -95,6 +103,20 @@ class TestTruncationDefect:
         c = ConditionalAmplitudes(2, (0.5j, 0.5j))
         target = TruncationTarget.full(2)
         assert truncation_defect(c, target, quotient_phase=True) < 1e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           phase=st.floats(-PI, PI), quotient_phase=st.booleans())
+    def test_global_phase_does_not_change_defect(self, d, seed, phase, quotient_phase):
+        rng = np.random.default_rng(seed)
+        c = rng.normal(size=d) + 1j * rng.normal(size=d)
+        keep = frozenset(np.flatnonzero(rng.random(d) < 0.5)) or frozenset({0})
+        target = TruncationTarget(d, keep)
+        raw = truncation_defect(ConditionalAmplitudes(d, tuple(c)), target)
+        rotated = truncation_defect(
+            ConditionalAmplitudes(d, tuple(c * np.exp(1j * phase))), target,
+            quotient_phase=quotient_phase)
+        assert abs(rotated - raw) <= 1e-13 * (1.0 + raw)
 
     def test_empty_keep_rejected(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qscissors
+from qscissors.catalog import build_catalog, qutrit_relation_entries
 from qscissors.network import GqsdSpec
 from qscissors.scissors import (MeasurementEvent, TruncationTarget,
                                 conditional_amplitudes, truncation_defect)
@@ -108,6 +114,16 @@ class TestOptimize:
                            TWELFTH_SPEC.transmittances, atol=1e-4)
         assert abs(records[0].amplitude - 1 / 12) < 1e-6
 
+    def test_records_meet_tolerance_relative_to_amplitude(self):
+        event = MeasurementEvent((1, 1, 0), (1, 0, 1))
+        config = self.small_config(seeds=5, max_iterations=1000, convergence_tol=1e-8,
+                                   random_seed=2)
+        records = optimize(event, TruncationTarget.full(3), config)
+        assert records
+        for rec in records:
+            c = conditional_amplitudes(rec.spec, event)
+            assert truncation_defect(c, rec.target) < config.convergence_tol * abs(c.c[0])
+
     def test_infeasible_target_returns_nothing(self):
         # single-Fock synthesis of |2> needs BS3; with t3 pinned to 1 the
         # defect cannot reach the convergence threshold
@@ -145,3 +161,41 @@ class TestRefine:
         refined, defect = refine(TWELFTH_SPEC, QUARTIT_EVENT,
                                  TruncationTarget.full(4), tol=1e-10)
         assert defect < 1e-12
+
+    @pytest.mark.parametrize("name", ["qutrit relation", "filter {1,2} via (1,1,0)/(1,0,1)",
+                                      "hole at 2"])
+    def test_perturbed_catalog_solutions_converge_without_drift(self, name):
+        # uncapped steps drifted along the solution family towards c = 0
+        entries = qutrit_relation_entries([0.2, 0.7]) + build_catalog()
+        entry = next(e for e in entries if e.name.startswith(name))
+        k0 = min(entry.target.keep)
+        amplitude = abs(conditional_amplitudes(entry.spec, entry.event).c[k0])
+        fix_t3 = 1.0 if entry.spec.transmittances[2] == 1.0 else None
+        params = spec_to_params(entry.spec, fix_t3=fix_t3)
+        rng = np.random.default_rng(11)
+        for _ in range(8):
+            start = params_to_spec(params + rng.uniform(-1e-3, 1e-3, params.size),
+                                   fix_t3=fix_t3)
+            refined, defect = refine(start, entry.event, entry.target, tol=1e-10,
+                                     fix_t3=fix_t3)
+            c = conditional_amplitudes(refined, entry.event)
+            assert defect < 1e-10 and truncation_defect(c, entry.target) < 1e-10
+            assert abs(c.c[k0]) >= 0.5 * amplitude
+
+
+def test_search_does_not_import_scipy():
+    code = """if True:
+        import sys
+        from qscissors import (GqsdSpec, MeasurementEvent, SearchConfig,
+                               TruncationTarget, optimize, refine)
+        event = MeasurementEvent((1, 0, 0), (0, 0, 1))
+        spec = GqsdSpec([0.5, 1, 1, 0.5, 1])
+        refine(spec, event, TruncationTarget.full(2), max_iterations=50)
+        optimize(event, TruncationTarget.full(2),
+                 SearchConfig(seeds=1, max_iterations=50, fix_t3=1.0))
+        print("scipy" in sys.modules)
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(qscissors.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
