@@ -18,7 +18,7 @@ from .detectors import (CONVENTIONAL, NUMBER_RESOLVING, SINGLE_PHOTON,
                         nu_from_dark_rate, outcome_for_count)
 from .evolution import evolve
 from .fock import InputField, coherent_expansion, embed_input, fock_expansion
-from .network import GqsdSpec, gqsd_matrix, verify_unitary
+from .network import GqsdSpec, gqsd_matrix
 from .scissors import (MeasurementEvent, TruncationTarget, ZeroProbabilityError,
                        _heralded_qudit, conditional_amplitudes, truncate,
                        truncation_defect)
@@ -84,10 +84,6 @@ def parse_complex(text: str) -> complex:
             raise ConfigError(f"complex value needs (re, im), got {text!r}")
         return complex(eval_number(inner[0]), eval_number(inner[1]))
     return complex(eval_number(text), 0.0)
-
-
-_DETECTOR_KINDS = {"conventional": CONVENTIONAL, "single_photon": SINGLE_PHOTON,
-                   "number_resolving": NUMBER_RESOLVING}
 
 
 @dataclass
@@ -341,9 +337,8 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
 def cmd_fidelity(cfg: RunConfig, args) -> int:
     spec, event = cfg.spec(), cfg.event()
     field = cfg.field()
-    psi = embed_input(field, 3, event.fock_inputs)
-    phi = evolve(psi, spec.elements())
-    ideal, _ = truncate(spec, event, field)
+    ideal, _ = truncate(spec, event, field)  # a vanishing outcome stops here, before evolve
+    phi = evolve(embed_input(field, 3, event.fock_inputs), spec.elements())
     rows = []
     for label, kind in (("c", CONVENTIONAL), ("s", SINGLE_PHOTON),
                         ("r", NUMBER_RESOLVING)):
@@ -379,14 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed-from-config", action="store_true",
                            help="use the config's device as the first start")
         p.set_defaults(func=func)
+    parser.set_defaults(seed_from_config=False)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "seed_from_config"):
-        args.seed_from_config = False
     try:
         if args.config:
             with open(args.config) as fh:

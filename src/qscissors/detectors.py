@@ -1,4 +1,6 @@
-"""Imperfect photon counting: POVM weights, conditional density matrices, fidelity."""
+"""Imperfect photon counting: POVM weights, conditional density matrices, fidelity.
+
+Dark counts use the log-space Poisson law of ``fock``; ``_LABELS`` lists coarse outcomes."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import MultimodeState, QuditState
+from .fock import MultimodeState, QuditState, _poisson_cutoff, _poisson_pmf
 from .scissors import ZeroProbabilityError
 
 CONVENTIONAL = "conventional"
@@ -18,6 +20,10 @@ KINDS = (CONVENTIONAL, SINGLE_PHOTON, NUMBER_RESOLVING)
 
 # Dark-count Poisson sums are truncated once the neglected tail is below this.
 DARK_TAIL_TOL = 1e-12
+
+# Outcomes of the coarse-grained kinds: count k reports labels[k], and the
+# last label means that count or more. Number-resolving ones report k.
+_LABELS = {CONVENTIONAL: ("no-click", "click"), SINGLE_PHOTON: (0, 1, "2+")}
 
 
 @dataclass(frozen=True)
@@ -55,85 +61,59 @@ def nu_from_dark_rate(dark_rate: float, resolution_time: float) -> float:
 def povm_number_resolving(model: DetectorModel, registered: int, m_max: int) -> np.ndarray:
     """Fock-diagonal POVM weights w_m for registering exactly N photocounts.
 
-    w_m = sum_{n=0}^{min(N,m)} e^{-nu} nu^{N-n}/(N-n)! * eta^n (1-eta)^{m-n} C(m,n),
-    for m = 0 .. m_max. Exact on any finite photon-number support.
+    w_m = sum_{n=0}^{min(N,m)} P_nu(N-n) * eta^n (1-eta)^{m-n} C(m,n),
+    for m = 0 .. m_max, with P_nu the Poisson law of the dark counts.
+    Exact on any finite photon-number support.
     """
     if registered < 0:
         raise ValueError("registered count must be >= 0")
     eta, nu = model.eta, model.nu
+    dark = [_poisson_pmf(nu, registered - n) for n in range(min(registered, m_max) + 1)]
     w = np.zeros(m_max + 1)
     for m in range(m_max + 1):
         total = 0.0
         for n in range(min(registered, m) + 1):
-            dark = math.exp(-nu) * nu ** (registered - n) / math.factorial(registered - n)
-            total += dark * eta ** n * (1.0 - eta) ** (m - n) * math.comb(m, n)
+            total += dark[n] * eta ** n * (1.0 - eta) ** (m - n) * math.comb(m, n)
         w[m] = total
     return w
-
-
-def _dark_tail_cutoff(nu: float) -> int:
-    """Smallest count beyond which the Poisson(nu) dark tail is negligible."""
-    term = math.exp(-nu)
-    cumulative = term
-    n = 0
-    while 1.0 - cumulative >= DARK_TAIL_TOL:
-        n += 1
-        term *= nu / n
-        cumulative += term
-    return n
 
 
 def povm_for_outcome(model: DetectorModel, outcome, m_max: int) -> np.ndarray:
     """POVM weights for one coarse-grained outcome of the detector.
 
-    Valid outcomes: conventional -- "no-click" or "click";
-    single_photon -- 0, 1 or "2+"; number_resolving -- any count N >= 0.
-    Identity is realized as w_m = 1 on the truncated space, so the
-    "click" and "2+" complements are exact there.
+    Valid outcomes: the kind's ``_LABELS``, or any count N >= 0 for a
+    number-resolving detector. The last label ("click", "2+") is 1 minus
+    the weights below it, so it is exact on the truncated space.
     """
-    identity = np.ones(m_max + 1)
-    if model.kind == CONVENTIONAL:
-        if outcome == "no-click":
-            return povm_number_resolving(model, 0, m_max)
-        if outcome == "click":
-            return identity - povm_number_resolving(model, 0, m_max)
-        raise ValueError(f"conventional detector outcome must be 'click' or "
-                         f"'no-click', got {outcome!r}")
-    if model.kind == SINGLE_PHOTON:
-        if outcome in (0, 1):
-            return povm_number_resolving(model, int(outcome), m_max)
-        if outcome == "2+":
-            return (identity - povm_number_resolving(model, 0, m_max)
-                    - povm_number_resolving(model, 1, m_max))
-        raise ValueError(f"single-photon detector outcome must be 0, 1 or "
-                         f"'2+', got {outcome!r}")
-    if isinstance(outcome, int) and outcome >= 0:
-        return povm_number_resolving(model, outcome, m_max)
-    raise ValueError(f"number-resolving outcome must be a count >= 0, got {outcome!r}")
+    labels = _LABELS.get(model.kind)
+    if labels is None:
+        if isinstance(outcome, int) and outcome >= 0:
+            return povm_number_resolving(model, outcome, m_max)
+        raise ValueError(f"number-resolving outcome must be a count >= 0, got {outcome!r}")
+    if outcome not in labels:
+        raise ValueError(f"{model.kind} outcome must be one of {labels}, got {outcome!r}")
+    count = labels.index(outcome)
+    if count < len(labels) - 1:
+        return povm_number_resolving(model, count, m_max)
+    w = np.ones(m_max + 1)
+    for below in range(count):
+        w -= povm_number_resolving(model, below, m_max)
+    return w
 
 
 def outcome_for_count(kind: str, count: int):
-    """Coarse-grained outcome a detector of this kind reports for a count.
-
-    Conventional detectors map any count >= 1 to "click"; single-photon
-    resolving ones map counts >= 2 to "2+".
-    """
-    if kind == CONVENTIONAL:
-        return "no-click" if count == 0 else "click"
-    if kind == SINGLE_PHOTON:
-        return count if count in (0, 1) else "2+"
-    if kind == NUMBER_RESOLVING:
-        return int(count)
-    raise ValueError(f"unknown detector kind {kind!r}")
+    """Coarse-grained outcome a detector of this kind reports for a count."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown detector kind {kind!r}")
+    labels = _LABELS.get(kind)
+    return int(count) if labels is None else labels[min(count, len(labels) - 1)]
 
 
 def outcome_family(model: DetectorModel, m_max: int) -> list:
     """All outcomes of a detector, covering counts up to the dark-count tail."""
-    if model.kind == CONVENTIONAL:
-        return ["no-click", "click"]
-    if model.kind == SINGLE_PHOTON:
-        return [0, 1, "2+"]
-    return list(range(m_max + _dark_tail_cutoff(model.nu) + 1))
+    if model.kind in _LABELS:
+        return list(_LABELS[model.kind])
+    return list(range(m_max + _poisson_cutoff(model.nu, DARK_TAIL_TOL) + 1))
 
 
 def conditional_density_matrix(output_state: MultimodeState, models, outcomes):
@@ -173,18 +153,12 @@ def conditional_density_matrix(output_state: MultimodeState, models, outcomes):
 
 
 def fidelity(rho: np.ndarray, ideal: QuditState) -> float:
-    """Overlap <phi| rho |phi> between a density matrix and a pure reference."""
+    """Overlap <phi| rho |phi> between a density matrix and a pure reference.
+
+    Indices beyond the shorter of the two meet zeros in the other, so
+    only the common leading block contributes.
+    """
     rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
-    phi = np.zeros(dim, dtype=complex)
-    coeffs = ideal.as_array()
-    if len(coeffs) > dim:
-        # reference longer than rho support: pad rho instead
-        padded = np.zeros((len(coeffs), len(coeffs)), dtype=complex)
-        padded[:dim, :dim] = rho
-        rho = padded
-        phi = np.zeros(len(coeffs), dtype=complex)
-        phi[:] = coeffs
-    else:
-        phi[:len(coeffs)] = coeffs
-    return float(np.real(np.conj(phi) @ rho @ phi))
+    dim = min(len(rho), ideal.dim)
+    phi = ideal.as_array()[:dim]
+    return float(np.real(np.conj(phi) @ rho[:dim, :dim] @ phi))

@@ -1,4 +1,5 @@
-"""Fock-basis containers: multimode photon-number states and single-mode input fields."""
+"""Fock-basis containers: multimode photon-number states, single-mode input fields
+and the one Poisson law (log space) of coherent fields and detector dark counts."""
 
 from __future__ import annotations
 
@@ -127,12 +128,40 @@ def fock_expansion(gammas) -> InputField:
     return InputField(kind="fock_expansion", gammas=tuple(g))
 
 
+def _poisson_pmf(mean: float, k: int) -> float:
+    """Poisson(mean) probability of the count k, in log space so that no factor overflows."""
+    if mean == 0.0:
+        return float(k == 0)
+    return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
+
+
+def _poisson_cutoff(mean: float, tail: float) -> int:
+    """Smallest n whose Poisson(mean) mass above n is below ``tail``.
+
+    That mass is summed down from a far count, not taken as 1 minus the
+    terms up to n: log-space rounding (~1e-12 relative at mean 3600)
+    keeps those from summing to 1 within a 1e-12 tail.
+    """
+    # Bernstein: P(X >= mean + t) <= exp(-t^2 / (2 (mean + t/3))) = 1e-6 * tail here.
+    log_odds = math.log(1e6 / tail)
+    far = mean + log_odds / 3.0 + math.sqrt(log_odds ** 2 / 9.0 + 2.0 * mean * log_odds)
+    if not far <= 10_000:
+        raise ValueError(f"Poisson cutoff for mean {mean:g} exceeds 10000 terms")
+    above = 0.0
+    for n in range(math.ceil(far), 0, -1):
+        above += _poisson_pmf(mean, n)
+        if above >= tail:
+            return n
+    return 0
+
+
 def coherent_expansion(alpha: complex, tail_epsilon: float = 1e-12) -> InputField:
     """Coherent state |alpha> cut to a finite Fock expansion.
 
     The cutoff n_max is the smallest integer for which the neglected
     Poisson tail probability (mean |alpha|^2) is below ``tail_epsilon``;
-    the retained coefficients are renormalized.
+    the retained coefficients are renormalized. A cutoff beyond 10 000
+    terms (|alpha| > ~98 at the default tail) raises ValueError.
     """
     alpha = complex(alpha)
     if not (cmath.isfinite(alpha)):
@@ -140,26 +169,22 @@ def coherent_expansion(alpha: complex, tail_epsilon: float = 1e-12) -> InputFiel
     if not 0.0 < tail_epsilon < 1.0:
         raise ValueError(f"tail_epsilon must lie in (0, 1), got {tail_epsilon}")
 
-    lam = abs(alpha) ** 2
+    magnitude = math.hypot(alpha.real, alpha.imag)  # abs() raises past 1.8e308
+    lam = magnitude * magnitude
     if lam == 0.0:
         return InputField(kind="coherent", gammas=(1.0 + 0j,), alpha=alpha,
                           tail_epsilon=tail_epsilon)
 
-    # Accumulate Poisson(lam) mass until the tail drops below tail_epsilon.
-    term = math.exp(-lam)
-    cumulative = term
-    n_max = 0
-    while 1.0 - cumulative >= tail_epsilon:
-        n_max += 1
-        term *= lam / n_max
-        cumulative += term
-        if n_max > 10_000:
-            raise ValueError("coherent cutoff did not converge")
-
-    gammas = [
-        math.exp(-lam / 2.0) * alpha ** n / math.sqrt(math.factorial(n))
-        for n in range(n_max + 1)
-    ]
+    # gamma_{n+1} = gamma_n alpha / sqrt(n+1), built outward from the peak at
+    # n = floor(lam), shrinks at every step, so nothing overflows.
+    n_max = _poisson_cutoff(lam, tail_epsilon)
+    peak = min(int(lam), n_max)
+    gammas = [0j] * (n_max + 1)
+    gammas[peak] = (alpha / magnitude) ** peak
+    for n in range(peak, n_max):
+        gammas[n + 1] = gammas[n] * alpha / math.sqrt(n + 1)
+    for n in range(peak, 0, -1):
+        gammas[n - 1] = gammas[n] * math.sqrt(n) / alpha
     norm = math.sqrt(sum(abs(g) ** 2 for g in gammas))
     gammas = tuple(g / norm for g in gammas)
     return InputField(kind="coherent", gammas=gammas, alpha=alpha,

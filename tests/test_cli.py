@@ -175,6 +175,7 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("line", ["xi = 0, 0, 0, 0, 1e400, 0",
                                       "alpha = (1/0, 0)",
+                                      "alpha = (1.7e308, 1.7e308)",
                                       "T = 1/3, 1/4, 1, 1/3, 2**-1",
                                       "field_kind = fock\ngammas = 1e400, 1",
                                       "fock_inputs = 1e400, 0, 0",
@@ -205,6 +206,26 @@ class TestSubcommands:
         assert main(["fidelity", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("alpha", ["(12, 0)", "(40, 0)"])
+    def test_truncate_large_coherent_amplitude(self, tmp_path, capsys, alpha):
+        # the cutoff passes 170 terms (171! is no float) and exp(-|alpha|^2) underflows
+        path = tmp_path / "bright.cfg"
+        path.write_text(QUARTIT_CONFIG + f"alpha = {alpha}\n")
+        assert main(["truncate", "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "c_0 = +0.083333" in captured.out and captured.err == ""
+
+    def test_fidelity_vanishing_outcome_stops_before_evolving(self, tmp_path, capsys,
+                                                              monkeypatch):
+        from qscissors import cli
+        monkeypatch.setattr(cli, "evolve", lambda *args: pytest.fail("evolve was called"))
+        path = tmp_path / "bright.cfg"
+        path.write_text(QUARTIT_CONFIG + "alpha = (10, 0)\n")
+        assert main(["fidelity", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "vanishing probability" in err
 
     def test_quotient_phase_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

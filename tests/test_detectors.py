@@ -1,11 +1,16 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qscissors
 from qscissors.detectors import (CONVENTIONAL, KINDS, NUMBER_RESOLVING,
                                  SINGLE_PHOTON, DetectorModel, conditional_density_matrix,
                                  fidelity, nu_from_dark_rate, outcome_family,
@@ -26,6 +31,19 @@ def quartit_output_state(alpha=0.4):
     field = coherent_expansion(alpha, 1e-12)
     psi = embed_input(field, 3, QUARTIT_EVENT.fock_inputs)
     return field, evolve(psi, TWELFTH_SPEC.elements())
+
+
+def reference_povm_number_resolving(model, registered, m_max):
+    """The linear-space double loop: e^-nu nu^k / k! overflows past k = 170."""
+    eta, nu = model.eta, model.nu
+    w = np.zeros(m_max + 1)
+    for m in range(m_max + 1):
+        total = 0.0
+        for n in range(min(registered, m) + 1):
+            dark = math.exp(-nu) * nu ** (registered - n) / math.factorial(registered - n)
+            total += dark * eta ** n * (1.0 - eta) ** (m - n) * math.comb(m, n)
+        w[m] = total
+    return w
 
 
 def reference_density_matrix(state, models, outcomes):
@@ -111,6 +129,42 @@ class TestPovmWeights:
             for outcome in outcome_family(model, 6):
                 total += povm_for_outcome(model, outcome, 6)
             assert np.max(np.abs(total - 1.0)) < 1e-9
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.7, 0.88, 1.0])
+    @pytest.mark.parametrize("nu", [0.0, 1e-6, 1e-4, 0.05, 1.0, 5.0, 40.0])
+    def test_matches_linear_space_reference(self, eta, nu):
+        model = DetectorModel(NUMBER_RESOLVING, eta, nu)
+        for registered in range(60):
+            expected = reference_povm_number_resolving(model, registered, 12)
+            w = povm_number_resolving(model, registered, 12)
+            assert np.max(np.abs(w - expected)) < 1e-14
+
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(KINDS), eta=st.floats(0.0, 1.0), nu=st.floats(0.0, 50.0),
+           m_max=st.integers(0, 12))
+    def test_completeness_property(self, kind, eta, nu, m_max):
+        model = DetectorModel(kind, eta, nu)
+        total = sum(povm_for_outcome(model, outcome, m_max)
+                    for outcome in outcome_family(model, m_max))
+        assert np.max(np.abs(total - 1.0)) < 1e-11
+
+    def test_large_dark_count_family_is_complete(self):
+        # exp(-800) underflows: a linear-space tail loop never ends here
+        code = """if True:
+            from qscissors.detectors import (NUMBER_RESOLVING, DetectorModel,
+                                             outcome_family, povm_for_outcome)
+            model = DetectorModel(NUMBER_RESOLVING, 0.7, 800.0)
+            family = outcome_family(model, 3)
+            total = sum(povm_for_outcome(model, outcome, 3) for outcome in family)
+            print(len(family), float(abs(total - 1.0).max()))
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(qscissors.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=20, check=True)
+        size, deviation = done.stdout.split()
+        # the Poisson(800) mass above 800 + 7.1 sqrt(800) is ~1e-12
+        assert 800 + 6 * math.sqrt(800) < int(size) < 800 + 9 * math.sqrt(800)
+        assert float(deviation) < 1e-11
 
     def test_invalid_outcomes(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qscissors.fock import (MultimodeState, QuditState, coherent_expansion,
                             embed_input, fock_expansion, fock_product_state,
@@ -37,6 +39,33 @@ class TestCoherentExpansion:
     def test_normalized(self):
         field = coherent_expansion(0.4)
         assert abs(sum(abs(g) ** 2 for g in field.gammas) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [3.0, 20.0])
+    def test_cutoff_is_minimal_at_larger_means(self, alpha):
+        # neglected mass summed from the top of linear-space running-product terms
+        lam = alpha ** 2
+        terms = [math.exp(-lam)]
+        for n in range(1, int(lam + 40 * alpha + 60)):
+            terms.append(terms[-1] * lam / n)
+        n_max = coherent_expansion(alpha, 1e-12).n_max
+        assert math.fsum(terms[n_max + 1:]) < 1e-12 <= math.fsum(terms[n_max:])
+
+    @settings(max_examples=20, deadline=None)
+    @given(magnitude=st.floats(0.01, 60.0), phase=st.floats(-math.pi, math.pi))
+    def test_large_amplitudes_keep_ratio_and_norm(self, magnitude, phase):
+        alpha = magnitude * complex(math.cos(phase), math.sin(phase))
+        gammas = coherent_expansion(alpha).gammas
+        assert abs(sum(abs(g) ** 2 for g in gammas) - 1.0) < 1e-12
+        for n in range(len(gammas) - 1):
+            if min(abs(gammas[n]), abs(gammas[n + 1])) > 1e-300:  # not underflowed
+                expected = alpha / math.sqrt(n + 1)
+                assert abs(gammas[n + 1] / gammas[n] - expected) < 1e-12 * abs(expected)
+
+    def test_cutoff_is_capped(self):
+        with pytest.raises(ValueError, match="10000 terms"):
+            coherent_expansion(100.0)
+        with pytest.raises(ValueError, match="10000 terms"):
+            coherent_expansion(1e200)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
