@@ -105,6 +105,8 @@ def outcome_for_count(kind: str, count: int):
     """Coarse-grained outcome a detector of this kind reports for a count."""
     if kind not in KINDS:
         raise ValueError(f"unknown detector kind {kind!r}")
+    if count < 0:
+        raise ValueError(f"negative photon count {count}")
     labels = _LABELS.get(kind)
     return int(count) if labels is None else labels[min(count, len(labels) - 1)]
 

@@ -95,16 +95,9 @@ def fock_product_state(counts) -> MultimodeState:
 
 @dataclass(frozen=True)
 class InputField:
-    """Single-mode pure input field as a finite Fock expansion.
+    """Single-mode pure input field as a finite Fock expansion sum_n gammas[n] |n>."""
 
-    ``kind`` is "fock_expansion" or "coherent"; coherent fields keep the
-    amplitude ``alpha`` and the Poisson tail bound used for the cutoff.
-    """
-
-    kind: str
     gammas: tuple
-    alpha: complex = 0j
-    tail_epsilon: float = 0.0
 
     @property
     def n_max(self) -> int:
@@ -125,7 +118,7 @@ def fock_expansion(gammas) -> InputField:
     if norm < PRUNE_TOL:
         raise ValueError("expansion coefficients are all zero")
     g = g / norm
-    return InputField(kind="fock_expansion", gammas=tuple(g))
+    return InputField(gammas=tuple(g))
 
 
 def _poisson_pmf(mean: float, k: int) -> float:
@@ -172,8 +165,7 @@ def coherent_expansion(alpha: complex, tail_epsilon: float = 1e-12) -> InputFiel
     magnitude = math.hypot(alpha.real, alpha.imag)  # abs() raises past 1.8e308
     lam = magnitude * magnitude
     if lam == 0.0:
-        return InputField(kind="coherent", gammas=(1.0 + 0j,), alpha=alpha,
-                          tail_epsilon=tail_epsilon)
+        return InputField(gammas=(1.0 + 0j,))
 
     # gamma_{n+1} = gamma_n alpha / sqrt(n+1), built outward from the peak at
     # n = floor(lam), shrinks at every step, so nothing overflows.
@@ -187,8 +179,7 @@ def coherent_expansion(alpha: complex, tail_epsilon: float = 1e-12) -> InputFiel
         gammas[n - 1] = gammas[n] * math.sqrt(n) / alpha
     norm = math.sqrt(sum(abs(g) ** 2 for g in gammas))
     gammas = tuple(g / norm for g in gammas)
-    return InputField(kind="coherent", gammas=gammas, alpha=alpha,
-                      tail_epsilon=tail_epsilon)
+    return InputField(gammas=gammas)
 
 
 def embed_input(field: InputField, mode: int, fock_inputs) -> MultimodeState:

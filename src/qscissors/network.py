@@ -44,14 +44,16 @@ def scattering_matrix(elements, n_modes: int) -> np.ndarray:
     for element in elements:
         if isinstance(element, BeamSplitter):
             i, j = element.modes
-            if j >= n_modes:
-                raise ValueError(f"mode index {j} outside 0..{n_modes - 1}")
+            if i < 0 or j >= n_modes:
+                raise ValueError(f"mode pair {element.modes} outside 0..{n_modes - 1}")
             t = math.sqrt(element.transmittance)
             r = math.sqrt(1.0 - element.transmittance)
             s[i], s[j] = t * s[i] + r * s[j], t * s[j] - r * s[i]
         elif isinstance(element, PhaseShifter):
-            if element.mode >= n_modes:
+            if not 0 <= element.mode < n_modes:
                 raise ValueError(f"mode index {element.mode} outside 0..{n_modes - 1}")
+            if not math.isfinite(element.phase):
+                raise ValueError(f"non-finite phase {element.phase}")
             s[element.mode] *= cmath.exp(1j * element.phase)
         else:
             raise TypeError(f"unknown element {element!r}")
@@ -126,6 +128,8 @@ class GeneralBsSpec:
     def __post_init__(self):
         if not 0.0 <= self.transmittance <= 1.0:
             raise ValueError(f"transmittance {self.transmittance} outside [0, 1]")
+        if not all(map(math.isfinite, (self.theta_0, self.theta_t, self.theta_r))):
+            raise ValueError(f"non-finite phase in {self}")
 
 
 def general_bs_matrix(g: GeneralBsSpec) -> np.ndarray:

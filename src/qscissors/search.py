@@ -9,11 +9,12 @@ import numpy as np
 
 from .network import GqsdSpec
 from .scissors import (MeasurementEvent, TruncationTarget, conditional_amplitudes,
-                       symmetry_transforms, truncation_defect)
+                       truncation_defect)
 
-TWO_PI = 2.0 * math.pi
 JACOBIAN_STEP = 1e-6
 STEP_CAP = 0.01  # largest change of one parameter per step
+# Converged starts whose |c_k0| agree to this relative tolerance herald the same operation.
+AMPLITUDE_DEDUP_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,8 @@ class SearchConfig:
     ``fix_t3`` pins the middle transmittance (e.g. 1.0 to freeze BS3 out
     of the search); the corresponding angle is then removed from the
     search vector. Converged points whose heralded amplitude |c_k0| falls
-    below ``min_amplitude`` are discarded for lack of success probability.
+    below ``min_amplitude`` are discarded for lack of success probability;
+    converged points are told apart by |c_k0| alone (see ``optimize``).
     """
 
     seeds: int = 20
@@ -32,11 +34,10 @@ class SearchConfig:
     convergence_tol: float = 1e-12
     random_seed: int = 0
     fix_t3: float | None = None
-    dedup_tol: float = 1e-6
     min_amplitude: float = 1e-8
 
     def __post_init__(self):
-        tolerances = (self.convergence_tol, self.dedup_tol, self.min_amplitude)
+        tolerances = (self.convergence_tol, self.min_amplitude)
         if (self.seeds < 0 or self.max_iterations < 1
                 or not all(0.0 < tol < math.inf for tol in tolerances)):
             raise ValueError(f"invalid search settings {self}")
@@ -133,24 +134,6 @@ def _fit_pattern(x0, event: MeasurementEvent, target: TruncationTarget,
     return x
 
 
-def _canonical_key(spec: GqsdSpec, dedup_tol: float):
-    t = np.round(np.asarray(spec.transmittances) / dedup_tol).astype(int)
-    x = np.round((np.asarray(spec.phases) % TWO_PI) / dedup_tol).astype(int)
-    return tuple(t) + tuple(x)
-
-
-def _orbit(spec: GqsdSpec) -> list:
-    """Spec, its symmetry images and their images (where the t3 = 1 transforms apply)."""
-    if abs(spec.transmittances[2] - 1.0) >= 1e-9:
-        return [spec]
-    images = symmetry_transforms(spec)
-    return [spec] + images + [s for image in images for s in symmetry_transforms(image)]
-
-
-def _is_duplicate(spec: GqsdSpec, seen: set, dedup_tol: float) -> bool:
-    return any(_canonical_key(s, dedup_tol) in seen for s in _orbit(spec))
-
-
 def optimize(event: MeasurementEvent, target: TruncationTarget,
              config: SearchConfig, seed_specs=()) -> list:
     """Multi-start Levenberg-Marquardt fit of the truncation pattern.
@@ -158,8 +141,11 @@ def optimize(event: MeasurementEvent, target: TruncationTarget,
     ``seed_specs`` are tried first; the remaining starts are drawn from
     the configured RNG. Each start ends where defect / |c_k0| falls below
     ``convergence_tol`` or after ``max_iterations`` residual evaluations.
-    Converged runs are de-duplicated modulo the published parameter
-    symmetries and returned sorted by descending heralded amplitude |c_k0|.
+    A converged point has c_n = |c_k0| e^{i phi} [n in K] to within that
+    tolerance, so |c_k0| fixes the heralded operation up to a global phase:
+    one record is kept per |c_k0| (relative ``AMPLITUDE_DEDUP_RTOL``), which
+    also merges gauge and mirror copies of one device. Records are returned
+    sorted by descending |c_k0|.
     """
     rng = np.random.default_rng(config.random_seed)
     fix_t3 = config.fix_t3
@@ -172,7 +158,6 @@ def optimize(event: MeasurementEvent, target: TruncationTarget,
         starts.append(np.concatenate([thetas, phases]))
 
     records = []
-    seen: set = set()
     k0 = min(target.keep)
     for x0 in starts:
         x = _fit_pattern(x0, event, target, fix_t3, config.max_iterations,
@@ -182,9 +167,9 @@ def optimize(event: MeasurementEvent, target: TruncationTarget,
         defect, amplitude = truncation_defect(c, target), abs(c.c[k0])
         if (amplitude < config.min_amplitude
                 or defect >= config.convergence_tol * amplitude
-                or _is_duplicate(spec, seen, config.dedup_tol)):
+                or any(math.isclose(amplitude, r.amplitude, rel_tol=AMPLITUDE_DEDUP_RTOL)
+                       for r in records)):
             continue
-        seen.add(_canonical_key(spec, config.dedup_tol))
         records.append(SolutionRecord(spec=spec, event=event, target=target,
                                       defect=defect, amplitude=amplitude))
     records.sort(key=lambda r: -r.amplitude)

@@ -198,6 +198,11 @@ class TestOutcomeMapping:
         assert outcome_for_count(SINGLE_PHOTON, 2) == "2+"
         assert outcome_for_count(NUMBER_RESOLVING, 5) == 5
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_negative_count_rejected(self, kind):
+        with pytest.raises(ValueError, match="negative"):
+            outcome_for_count(kind, -1)
+
     def test_families(self):
         assert outcome_family(DetectorModel(CONVENTIONAL), 4) == \
             ["no-click", "click"]

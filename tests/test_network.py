@@ -32,6 +32,19 @@ class TestElementMatrix:
         with pytest.raises(ValueError):
             BeamSplitter((2, 1), 0.5)
 
+    @pytest.mark.parametrize("element", [
+        BeamSplitter((-1, 0), 0.5), BeamSplitter((2, 3), 0.5),
+        PhaseShifter(-1, 0.3), PhaseShifter(3, 0.3)])
+    def test_mode_outside_network_rejected(self, element):
+        # a negative index would wrap round to the last mode
+        with pytest.raises(ValueError, match="outside"):
+            scattering_matrix([element], 3)
+
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+    def test_non_finite_shifter_phase_rejected(self, phase):
+        with pytest.raises(ValueError, match="non-finite"):
+            scattering_matrix([PhaseShifter(0, phase)], 2)
+
 
 class TestGqsdMatrix:
     def test_identity_device(self):
@@ -119,6 +132,12 @@ class TestGeneralBsDecomposition:
         reconstructed = np.exp(1j * phase) * p_plus @ b @ p_minus
         assert np.max(np.abs(reconstructed - expected)) < 1e-12
         assert np.max(np.abs(general_bs_matrix(g) - expected)) < 1e-12
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["theta_0", "theta_t", "theta_r"])
+    def test_non_finite_phase_rejected(self, name, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            GeneralBsSpec(0.5, **{name: value})
 
     def test_random_reconstruction(self, rng):
         for _ in range(200):

@@ -11,7 +11,8 @@ import qscissors
 from qscissors.catalog import build_catalog, qutrit_relation_entries
 from qscissors.network import GqsdSpec
 from qscissors.scissors import (MeasurementEvent, TruncationTarget,
-                                conditional_amplitudes, truncation_defect)
+                                conditional_amplitudes, symmetry_transforms,
+                                truncation_defect)
 from qscissors.search import (SearchConfig, objective, optimize,
                               params_to_spec, refine, spec_to_params)
 
@@ -47,8 +48,7 @@ class TestParametrization:
 class TestSearchConfig:
     @pytest.mark.parametrize("field, value", [
         ("seeds", -1), ("max_iterations", 0), ("convergence_tol", 0.0),
-        ("convergence_tol", math.nan), ("dedup_tol", -1e-6),
-        ("dedup_tol", math.inf), ("min_amplitude", 0.0)])
+        ("convergence_tol", math.nan), ("min_amplitude", 0.0)])
     def test_invalid_settings_rejected(self, field, value):
         with pytest.raises(ValueError):
             SearchConfig(**{field: value})
@@ -112,6 +112,17 @@ class TestOptimize:
         assert len(records) == 1
         assert np.allclose(records[0].spec.transmittances,
                            TWELFTH_SPEC.transmittances, atol=1e-4)
+        assert abs(records[0].amplitude - 1 / 12) < 1e-6
+
+    def test_gauge_and_mirror_copies_give_one_record(self):
+        # xi1 only sets the global phase, and the t3 = 1 mirror images herald
+        # the same quartit operation: all are one solution
+        gauge = GqsdSpec(TWELFTH_SPEC.transmittances, (0.7,) + TWELFTH_SPEC.phases[1:])
+        seeds = [TWELFTH_SPEC, gauge] + symmetry_transforms(TWELFTH_SPEC)
+        records = optimize(QUARTIT_EVENT, TruncationTarget.full(4),
+                           self.small_config(seeds=0, max_iterations=400),
+                           seed_specs=seeds)
+        assert len(records) == 1
         assert abs(records[0].amplitude - 1 / 12) < 1e-6
 
     def test_records_meet_tolerance_relative_to_amplitude(self):
