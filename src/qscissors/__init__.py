@@ -12,7 +12,7 @@ from .fock import (InputField, MultimodeState, QuditState, coherent_expansion,
 from .network import (BeamSplitter, GeneralBsSpec, GqsdSpec, PhaseShifter,
                       decompose_general_bs, general_bs_matrix, gqsd_matrix,
                       scattering_matrix, verify_unitary)
-from .evolution import (OracleLimitError, evolve, evolve_fock_oracle,
+from .evolution import (OracleLimitError, detected_blocks, evolve, evolve_fock_oracle,
                         projected_amplitudes)
 from .scissors import (ConditionalAmplitudes, MeasurementEvent, TruncationTarget,
                        ZeroProbabilityError, analytic_amplitudes,
@@ -25,7 +25,7 @@ from .catalog import (CatalogEntry, CatalogResult, build_catalog,
                       qutrit_relation_entries, verify_catalog, verify_entry)
 from .detectors import (CONVENTIONAL, NUMBER_RESOLVING, SINGLE_PHOTON,
                         DetectorModel, conditional_density_matrix, fidelity,
-                        nu_from_dark_rate, outcome_family, outcome_for_count,
-                        povm_for_outcome, povm_number_resolving)
+                        heralded_density_matrix, nu_from_dark_rate, outcome_family,
+                        outcome_for_count, povm_for_outcome, povm_number_resolving)
 
 __version__ = "0.1.0"

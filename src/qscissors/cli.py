@@ -14,10 +14,10 @@ import numpy as np
 
 from . import catalog as catalog_mod
 from .detectors import (CONVENTIONAL, NUMBER_RESOLVING, SINGLE_PHOTON,
-                        DetectorModel, conditional_density_matrix, fidelity,
+                        DetectorModel, fidelity, heralded_density_matrix,
                         nu_from_dark_rate, outcome_for_count)
-from .evolution import evolve
-from .fock import InputField, coherent_expansion, embed_input, fock_expansion
+from .evolution import detected_blocks
+from .fock import InputField, coherent_expansion, fock_expansion
 from .network import GqsdSpec, gqsd_matrix
 from .scissors import (MeasurementEvent, TruncationTarget, ZeroProbabilityError,
                        _heralded_qudit, conditional_amplitudes, truncate,
@@ -55,6 +55,14 @@ def eval_number(text: str) -> float:
                           _ALLOWED_NAMES))
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
         raise ConfigError(f"cannot evaluate {text!r}: {exc}") from exc
+
+
+def eval_integer(text: str) -> int:
+    """Evaluate a numeric expression that must be a whole number ('3', '2*2', '1e3')."""
+    value = eval_number(text)
+    if not (math.isfinite(value) and value.is_integer()):
+        raise ConfigError(f"expected a whole number, got {text!r}")
+    return int(value)
 
 
 def _split_top_level(text: str) -> list:
@@ -147,7 +155,7 @@ class RunConfig:
             key, value = (s.strip() for s in line.split("=", 1))
             try:
                 _assign(cfg, key, value)
-            except (ConfigError, OverflowError) as exc:  # OverflowError: int(inf)
+            except ConfigError as exc:
                 raise ConfigError(f"line {lineno}, field {key!r}: {exc}") from exc
         return cfg
 
@@ -197,7 +205,7 @@ def _assign(cfg: RunConfig, key: str, value: str):
     elif key == "mirror_zeta":
         cfg.mirror_zeta = eval_number(value)
     elif key in ("fock_inputs", "counts"):
-        vals = tuple(int(eval_number(v)) for v in _split_top_level(value))
+        vals = tuple(eval_integer(v) for v in _split_top_level(value))
         if len(vals) != 3:
             raise ConfigError(f"expected 3 entries, got {len(vals)}")
         setattr(cfg, key, vals)
@@ -210,7 +218,7 @@ def _assign(cfg: RunConfig, key: str, value: str):
     elif key == "gammas":
         cfg.gammas = tuple(parse_complex(v) for v in _split_top_level(value))
     elif key == "target_keep":
-        cfg.target_keep = tuple(int(eval_number(v)) for v in _split_top_level(value))
+        cfg.target_keep = tuple(eval_integer(v) for v in _split_top_level(value))
     elif key.startswith("eta_") and key[4:] in ("c", "s", "r"):
         cfg.eta[key[4:]] = eval_number(value)
     elif key.startswith("r_dark_") and key[7:] in ("c", "s", "r"):
@@ -218,7 +226,7 @@ def _assign(cfg: RunConfig, key: str, value: str):
     elif key == "tau_res":
         cfg.tau_res = eval_number(value)
     elif key in ("seeds", "max_iterations", "random_seed"):
-        setattr(cfg, key, int(eval_number(value)))
+        setattr(cfg, key, eval_integer(value))
     elif key == "convergence_tol":
         cfg.convergence_tol = eval_number(value)
     elif key == "fix_t3":
@@ -335,17 +343,23 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
 
 
 def cmd_fidelity(cfg: RunConfig, args) -> int:
+    """F = <ideal| rho |ideal> for conventional, single-photon and number-resolving detectors.
+
+    The heralded output is built once as per-t blocks of the sector arrays
+    (``detected_blocks``) and contracted with each kind's POVM
+    (``heralded_density_matrix``); no full output state is assembled.
+    """
     spec, event = cfg.spec(), cfg.event()
     field = cfg.field()
-    ideal, _ = truncate(spec, event, field)  # a vanishing outcome stops here, before evolve
-    phi = evolve(embed_input(field, 3, event.fock_inputs), spec.elements())
+    ideal, _ = truncate(spec, event, field)  # a vanishing outcome stops here, before the sectors
+    blocks = detected_blocks(gqsd_matrix(spec), event.fock_inputs, field.gammas)
     rows = []
     for label, kind in (("c", CONVENTIONAL), ("s", SINGLE_PHOTON),
                         ("r", NUMBER_RESOLVING)):
         nu = nu_from_dark_rate(cfg.r_dark[label], cfg.tau_res)
         models = [DetectorModel(kind, cfg.eta[label], nu)] * 3
         outcomes = [outcome_for_count(kind, n) for n in event.counts]
-        rho, probability = conditional_density_matrix(phi, models, outcomes)
+        rho, probability = heralded_density_matrix(blocks, models, outcomes)
         f = fidelity(rho, ideal)
         print(f"F_{label} = {f:.6f}  (eta = {cfg.eta[label]}, nu = {nu:.3e}, "
               f"outcome probability = {probability:.6e})")

@@ -154,6 +154,31 @@ def conditional_density_matrix(output_state: MultimodeState, models, outcomes):
     return rho / probability, probability
 
 
+def heralded_density_matrix(blocks, models, outcomes):
+    """Mode-1 density matrix heralded by detector outcomes, from ``detected_blocks``.
+
+    ``blocks`` is the list of ``evolution.detected_blocks``, block t holding
+    the output amplitudes with t photons on modes 2-4. With the POVM weight
+    w_t[j] = w2[m2] w3[m3] w4[m4] of occupation j of block t,
+    rho = sum_t (Phi_t w_t) Phi_t^H: the partial trace of
+    ``conditional_density_matrix`` without a ``MultimodeState``, so one set
+    of blocks serves every detector model. Returns (rho, probability) and
+    raises ``ZeroProbabilityError`` as that function does; rho spans
+    n1 = 0 .. len(blocks) - 1.
+    """
+    weights = [povm_for_outcome(model, outcome, len(blocks) - 1)
+               for model, outcome in zip(models, outcomes)]
+    rho = np.zeros((len(blocks),) * 2, dtype=complex)
+    for (m2, m3, m4), phi in blocks:
+        w = weights[0][m2] * weights[1][m3] * weights[2][m4]
+        rho[:len(phi), :len(phi)] += (phi * w) @ phi.conj().T
+
+    probability = float(np.real(np.trace(rho)))
+    if probability < 1e-30:
+        raise ZeroProbabilityError("heralding outcome has vanishing probability")
+    return rho / probability, probability
+
+
 def fidelity(rho: np.ndarray, ideal: QuditState) -> float:
     """Overlap <phi| rho |phi> between a density matrix and a pure reference.
 

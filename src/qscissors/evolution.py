@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,6 +125,45 @@ def evolve(state: MultimodeState, elements) -> MultimodeState:
         keys = np.column_stack([photons - index.sum(axis=1), index]).tolist()
         amplitudes.update(zip(map(tuple, keys), amps[amps != 0].tolist()))
     return MultimodeState(state.modes, amplitudes)
+
+
+class DetectedBlock(NamedTuple):
+    """Output amplitudes with t photons detected on modes 2-4 (see ``detected_blocks``)."""
+
+    occupations: np.ndarray  # (3, C_t): the (m2, m3, m4) with m2 + m3 + m4 = t
+    phi: np.ndarray  # (p_max - t + 1, C_t): phi[n1, j] for mode-1 count n1
+
+
+def detected_blocks(s: np.ndarray, fock_inputs, gammas) -> list:
+    """Output of S on |fock_inputs> (x) sum_n gammas[n] |n>, grouped by detected photons.
+
+    The field enters the last mode. Returns one ``DetectedBlock`` per
+    t = 0 .. p_max (p_max = P0 + len(gammas) - 1, P0 = sum(fock_inputs)),
+    with phi_t[n1, j] = gamma_{p - P0} A_p[occupation j] taken from sector
+    p = n1 + t of one ``_sectors`` pass. Photon number is conserved, so
+    every output amplitude lands in exactly one cell; rows with p < P0 or a
+    zero gamma stay zero. No dense (n1, every occupation) array is built:
+    most of its cells cannot be reached.
+    """
+    gammas = np.asarray(gammas, dtype=complex)
+    p0 = sum(fock_inputs)
+    p_max = p0 + len(gammas) - 1
+    # Every (m2, m3, m4) with sum <= p_max, ordered by that sum t: block t is
+    # the slice offsets[t]:offsets[t + 1], and sector p uses the first offsets[p + 1].
+    triples = []
+    for t in range(p_max + 1):
+        i, j = np.tril_indices(t + 1)
+        triples.append(np.stack([t - i, j, i - j]))
+    occupations = np.concatenate(triples, axis=1)
+    offsets = [t * (t + 1) * (t + 2) // 6 for t in range(p_max + 2)]
+    phis = [np.zeros((p_max - t + 1, offsets[t + 1] - offsets[t]), dtype=complex)
+            for t in range(p_max + 1)]
+    for gamma, (p, amps) in zip(gammas, _sectors(s, fock_inputs, len(gammas) - 1)):
+        values = gamma * amps[tuple(occupations[:, :offsets[p + 1]])]
+        for t in range(p + 1):
+            phis[t][p - t] = values[offsets[t]:offsets[t + 1]]
+    return [DetectedBlock(occupations[:, offsets[t]:offsets[t + 1]], phi)
+            for t, phi in enumerate(phis)]
 
 
 def projected_amplitudes(s: np.ndarray, fock_inputs, counts, n_max: int) -> list:

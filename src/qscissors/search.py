@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,8 @@ JACOBIAN_STEP = 1e-6
 STEP_CAP = 0.01  # largest change of one parameter per step
 # Converged starts whose |c_k0| agree to this relative tolerance herald the same operation.
 AMPLITUDE_DEDUP_RTOL = 1e-6
+# A seed spec may differ from the fixed T3 by this much.
+FIX_T3_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -27,6 +30,8 @@ class SearchConfig:
     search vector. Converged points whose heralded amplitude |c_k0| falls
     below ``min_amplitude`` are discarded for lack of success probability;
     converged points are told apart by |c_k0| alone (see ``optimize``).
+    ``seeds`` and ``max_iterations`` must be integers, the tolerances
+    positive and finite, and ``fix_t3`` None or in [0, 1].
     """
 
     seeds: int = 20
@@ -37,9 +42,13 @@ class SearchConfig:
     min_amplitude: float = 1e-8
 
     def __post_init__(self):
+        counts = (self.seeds, self.max_iterations)
         tolerances = (self.convergence_tol, self.min_amplitude)
-        if (self.seeds < 0 or self.max_iterations < 1
-                or not all(0.0 < tol < math.inf for tol in tolerances)):
+        # Comparisons with nan are false, so nan fails every range test below.
+        if (not all(isinstance(n, numbers.Integral) for n in counts)
+                or self.seeds < 0 or self.max_iterations < 1
+                or not all(0.0 < tol < math.inf for tol in tolerances)
+                or not (self.fix_t3 is None or 0.0 <= self.fix_t3 <= 1.0)):
             raise ValueError(f"invalid search settings {self}")
 
 
@@ -68,8 +77,16 @@ def params_to_spec(params, fix_t3: float | None = None) -> GqsdSpec:
 
 
 def spec_to_params(spec: GqsdSpec, fix_t3: float | None = None) -> np.ndarray:
+    """Encode a device as a search vector (inverse of ``params_to_spec``).
+
+    With ``fix_t3`` set, the spec's T3 must equal it (to 1e-12): the vector
+    has no T3, so another value would start the search from another device.
+    """
     transmittances = list(spec.transmittances)
     if fix_t3 is not None:
+        if not abs(transmittances[2] - fix_t3) <= FIX_T3_TOL:
+            raise ValueError(f"spec has T3 = {transmittances[2]!r}, "
+                             f"but the search fixes T3 = {fix_t3!r}")
         del transmittances[2]
     thetas = [math.acos(math.sqrt(t)) for t in transmittances]
     return np.array(thetas + list(spec.phases[:5]))
@@ -138,7 +155,8 @@ def optimize(event: MeasurementEvent, target: TruncationTarget,
              config: SearchConfig, seed_specs=()) -> list:
     """Multi-start Levenberg-Marquardt fit of the truncation pattern.
 
-    ``seed_specs`` are tried first; the remaining starts are drawn from
+    ``seed_specs`` are tried first (with ``fix_t3`` set, their T3 must
+    equal it; see ``spec_to_params``); the remaining starts are drawn from
     the configured RNG. Each start ends where defect / |c_k0| falls below
     ``convergence_tol`` or after ``max_iterations`` residual evaluations.
     A converged point has c_n = |c_k0| e^{i phi} [n in K] to within that
@@ -184,8 +202,10 @@ def refine(spec: GqsdSpec, event: MeasurementEvent, target: TruncationTarget,
     Runs until defect / |c_k0| < ``tol`` or ``max_iterations`` residual
     evaluations. The refined spec keeps the start's xi1, which only adds a
     global phase to every c_n. ``quotient_phase`` does not change the
-    result (see ``truncation_defect``).
+    result (see ``truncation_defect``). ``tol`` must be positive and finite,
+    ``max_iterations`` a positive integer and ``fix_t3`` None or in [0, 1].
     """
+    SearchConfig(max_iterations=max_iterations, convergence_tol=tol, fix_t3=fix_t3)  # validates
     x = _fit_pattern(spec_to_params(spec, fix_t3=fix_t3), event, target, fix_t3,
                      max_iterations, tol)
     return params_to_spec(x, fix_t3=fix_t3), objective(x, event, target, fix_t3=fix_t3)

@@ -1,5 +1,6 @@
 import csv
 import math
+import sys
 
 import pytest
 
@@ -188,6 +189,26 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("line", ["max_iterations = 1e400", "max_iterations = 2.5",
+                                      "seeds = 2.5", "seeds = 1/0", "fix_t3 = 1.5",
+                                      "fix_t3 = -0.5", "fix_t3 = 1e400",
+                                      "fock_inputs = 1.5, 0, 0", "target_keep = 0.5",
+                                      "convergence_tol = 0"])
+    def test_bad_search_setting_exits_2_with_one_line(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(QUARTIT_CONFIG + "seeds = 0\n" + line + "\n")
+        assert main(["optimize", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_seed_off_the_fixed_t3_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "seeded.cfg"
+        path.write_text(QUARTIT_CONFIG.replace("T = 1/3, 1/4, 1,", "T = 1/3, 1/4, 0.5,")
+                        + "seeds = 0\nfix_t3 = 1\n")
+        assert main(["optimize", "--config", str(path), "--seed-from-config"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "T3" in err
+
     # the last case overflows nu = tau_res * r_dark_c to inf
     @pytest.mark.parametrize("lines", ["r_dark_c = 1e400", "tau_res = 1e400",
                                        "eta_s = 1e400",
@@ -219,13 +240,24 @@ class TestSubcommands:
     def test_fidelity_vanishing_outcome_stops_before_evolving(self, tmp_path, capsys,
                                                               monkeypatch):
         from qscissors import cli
-        monkeypatch.setattr(cli, "evolve", lambda *args: pytest.fail("evolve was called"))
+        monkeypatch.setattr(cli, "detected_blocks",
+                            lambda *args: pytest.fail("the sector pass was called"))
         path = tmp_path / "bright.cfg"
         path.write_text(QUARTIT_CONFIG + "alpha = (10, 0)\n")
         assert main(["fidelity", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "vanishing probability" in err
+
+    def test_fidelity_builds_no_output_state(self, config_path, capsys, monkeypatch):
+        modules = [m for name, m in sys.modules.items() if name.startswith("qscissors")]
+        for name in ("evolve", "embed_input"):
+            for module in modules:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        lambda *args, name=name: pytest.fail(f"{name} called"))
+        assert main(["fidelity", "--config", config_path]) == 0
+        assert "F_r" in capsys.readouterr().out
 
     def test_quotient_phase_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

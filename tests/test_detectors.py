@@ -11,14 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qscissors
+from qscissors.catalog import build_catalog
 from qscissors.detectors import (CONVENTIONAL, KINDS, NUMBER_RESOLVING,
                                  SINGLE_PHOTON, DetectorModel, conditional_density_matrix,
-                                 fidelity, nu_from_dark_rate, outcome_family,
-                                 outcome_for_count, povm_for_outcome,
+                                 fidelity, heralded_density_matrix, nu_from_dark_rate,
+                                 outcome_family, outcome_for_count, povm_for_outcome,
                                  povm_number_resolving)
-from qscissors.evolution import evolve
-from qscissors.fock import MultimodeState, QuditState, coherent_expansion, embed_input
-from qscissors.network import GqsdSpec
+from qscissors.evolution import detected_blocks, evolve
+from qscissors.fock import (MultimodeState, QuditState, coherent_expansion, embed_input,
+                            fock_expansion)
+from qscissors.network import GqsdSpec, gqsd_matrix
 from qscissors.scissors import MeasurementEvent, ZeroProbabilityError, truncate
 
 PI = math.pi
@@ -311,3 +313,119 @@ class TestFidelity:
         phi = QuditState.from_unnormalized([1.0, 0.0, 0.0, 0.0])
         rho = np.array([[1.0]])  # rho supported on |0> only
         assert abs(fidelity(rho, phi) - 1.0) < 1e-14
+
+
+CATALOG = {entry.name: entry for entry in build_catalog()}
+GAPPED_FIELD = fock_expansion([0.6, 0, 0.5j, 0, 0, 0.3 - 0.2j, 0, 0.2])
+
+
+def output_state_and_blocks(spec, event, field):
+    """The full output state (reference path) and the per-t blocks of the same input."""
+    state = evolve(embed_input(field, 3, event.fock_inputs), spec.elements())
+    return state, detected_blocks(gqsd_matrix(spec), event.fock_inputs, field.gammas)
+
+
+def assert_blocks_match_state(state, blocks, models, outcomes):
+    expected, p_expected = conditional_density_matrix(state, models, outcomes)
+    rho, probability = heralded_density_matrix(blocks, models, outcomes)
+    k = len(expected)  # rho also spans the n1 rows that only the pruned amplitudes reach
+    assert abs(probability - p_expected) < 1e-13 * p_expected
+    assert np.max(np.abs(rho[:k, :k] - expected)) < 1e-13
+    assert np.max(np.abs(rho[k:]), initial=0.0) < 1e-13
+    assert np.max(np.abs(rho[:, k:]), initial=0.0) < 1e-13
+    return rho
+
+
+class TestDetectedBlocks:
+    def test_block_layout(self):
+        field = coherent_expansion(0.5, 1e-6)
+        blocks = detected_blocks(gqsd_matrix(TWELFTH_SPEC), (1, 1, 1), field.gammas)
+        p_max = 3 + field.n_max
+        assert len(blocks) == p_max + 1
+        for t, (occupations, phi) in enumerate(blocks):
+            assert occupations.shape == (3, (t + 1) * (t + 2) // 2)
+            assert np.all(occupations.sum(axis=0) == t) and np.all(occupations >= 0)
+            assert len({tuple(m) for m in occupations.T}) == occupations.shape[1]
+            assert phi.shape == (p_max - t + 1, occupations.shape[1])
+            # n1 + t photons below the 3 auxiliary ones are never reached
+            assert not phi[:max(3 - t, 0)].any()
+
+    def test_amplitudes_match_output_state(self):
+        field = coherent_expansion(0.7 + 0.2j, 1e-8)
+        state, blocks = output_state_and_blocks(TWELFTH_SPEC, QUARTIT_EVENT, field)
+        found = {}
+        for occupations, phi in blocks:
+            for n1, j in zip(*np.nonzero(phi)):
+                found[(int(n1), *map(int, occupations[:, j]))] = phi[n1, j]
+        for key, amplitude in state.amplitudes.items():
+            assert found.pop(key) == amplitude
+        assert max(map(abs, found.values()), default=0.0) < 1e-15  # pruned by the state
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog_events_match_full_state_path(self, name):
+        entry = CATALOG[name]
+        state, blocks = output_state_and_blocks(
+            entry.spec, entry.event, coherent_expansion(0.5 + 0.3j, 1e-12))
+        for kind in KINDS:
+            models = [DetectorModel(kind, 0.8, 0.01)] * 3
+            outcomes = [outcome_for_count(kind, n) for n in entry.event.counts]
+            assert_blocks_match_state(state, blocks, models, outcomes)
+
+    @pytest.mark.parametrize("name", ["quartit numeric 0.134", "d=5 numeric", "d=6 numeric 1"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_gammas_leave_gaps_in_n1(self, name, kind):
+        entry = CATALOG[name]
+        state, blocks = output_state_and_blocks(entry.spec, entry.event, GAPPED_FIELD)
+        p0 = sum(entry.event.fock_inputs)
+        for t, (_, phi) in enumerate(blocks):
+            for n1 in range(len(phi)):
+                if not GAPPED_FIELD.coefficient(n1 + t - p0):
+                    assert not phi[n1].any()
+        models = [DetectorModel(kind, 0.6, 0.05)] * 3
+        for outcomes in ([outcome_for_count(kind, n) for n in entry.event.counts],
+                         [outcome_for_count(kind, 0)] * 3):
+            assert_blocks_match_state(state, blocks, models, outcomes)
+
+    def test_ideal_detection_is_the_truncated_qudit(self):
+        field = coherent_expansion(1.3j)
+        blocks = detected_blocks(gqsd_matrix(TWELFTH_SPEC), (1, 1, 1), field.gammas)
+        models = [DetectorModel(NUMBER_RESOLVING, 1.0, 0.0)] * 3
+        rho, probability = heralded_density_matrix(blocks, models, (1, 1, 1))
+        ideal, p_ideal = truncate(TWELFTH_SPEC, QUARTIT_EVENT, field)
+        assert abs(probability - p_ideal) < 1e-13 * p_ideal
+        assert abs(fidelity(rho, ideal) - 1.0) < 1e-13
+
+    def test_vanishing_outcome_raises(self):
+        blocks = detected_blocks(gqsd_matrix(TWELFTH_SPEC), (1, 1, 1), (1.0,))
+        with pytest.raises(ZeroProbabilityError, match="vanishing probability"):
+            heralded_density_matrix(blocks, [DetectorModel(NUMBER_RESOLVING)] * 3, (4, 0, 0))
+
+    @settings(max_examples=15, deadline=None)
+    @given(transmittances=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+           phases=st.lists(st.floats(-PI, PI), min_size=6, max_size=6),
+           fock_inputs=st.tuples(*[st.integers(0, 2)] * 3),
+           gammas=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=1, max_size=8))
+    def test_norm_is_conserved(self, transmittances, phases, fock_inputs, gammas):
+        spec = GqsdSpec(transmittances, phases)
+        blocks = detected_blocks(gqsd_matrix(spec), fock_inputs, gammas)
+        total = sum(np.sum(np.abs(phi) ** 2) for _, phi in blocks)
+        expected = sum(abs(g) ** 2 for g in gammas)
+        assert abs(total - expected) <= 1e-12 * max(expected, 1.0)
+
+
+class TestFidelityVersusEfficiency:
+    """Points of README's F-versus-eta table (alpha = 0.4), from the full-state path."""
+
+    @pytest.mark.parametrize("name, kind, eta, r_dark, expected", [
+        ("quartit numeric 0.134", CONVENTIONAL, 0.5, 100.0, 0.9068),
+        ("d=5 numeric", SINGLE_PHOTON, 0.9, 1e4, 0.9603),
+        ("d=5 numeric", NUMBER_RESOLVING, 1.0, 1e4, 0.9997)])
+    def test_table_point(self, name, kind, eta, r_dark, expected):
+        entry = CATALOG[name]
+        field = coherent_expansion(0.4)
+        state = evolve(embed_input(field, 3, entry.event.fock_inputs), entry.spec.elements())
+        models = [DetectorModel(kind, eta, nu_from_dark_rate(r_dark, 10e-9))] * 3
+        outcomes = [outcome_for_count(kind, n) for n in entry.event.counts]
+        rho, _ = conditional_density_matrix(state, models, outcomes)
+        ideal, _ = truncate(entry.spec, entry.event, field)
+        assert round(fidelity(rho, ideal), 4) == expected

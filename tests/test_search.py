@@ -48,13 +48,44 @@ class TestParametrization:
 class TestSearchConfig:
     @pytest.mark.parametrize("field, value", [
         ("seeds", -1), ("max_iterations", 0), ("convergence_tol", 0.0),
-        ("convergence_tol", math.nan), ("min_amplitude", 0.0)])
+        ("convergence_tol", math.nan), ("min_amplitude", 0.0),
+        ("max_iterations", math.nan), ("max_iterations", math.inf),
+        ("max_iterations", 2.5), ("seeds", 2.5), ("seeds", math.nan),
+        ("fix_t3", 1.5), ("fix_t3", -0.1), ("fix_t3", math.nan), ("fix_t3", math.inf)])
     def test_invalid_settings_rejected(self, field, value):
         with pytest.raises(ValueError):
             SearchConfig(**{field: value})
 
     def test_zero_random_starts_allowed(self):
         assert SearchConfig(seeds=0).seeds == 0
+
+    def test_numpy_integers_and_bounds_of_fix_t3_allowed(self):
+        config = SearchConfig(seeds=np.int64(3), max_iterations=np.int32(10), fix_t3=0.0)
+        assert config.seeds == 3 and SearchConfig(fix_t3=1.0).fix_t3 == 1.0
+
+    def test_nan_budget_no_longer_returns_empty(self):
+        # every comparison with nan was false, so no step ran and optimize returned []
+        with pytest.raises(ValueError):
+            optimize(QUBIT_EVENT, TruncationTarget.full(2),
+                     SearchConfig(seeds=3, max_iterations=math.nan, fix_t3=1.0))
+
+
+class TestSeedSpecs:
+    def test_seed_off_the_fixed_t3_rejected(self):
+        # spec_to_params used to drop T3 = 0.5 and start from another device
+        with pytest.raises(ValueError, match="T3"):
+            spec_to_params(GqsdSpec([0.5] * 5), fix_t3=1.0)
+        with pytest.raises(ValueError, match="T3"):
+            optimize(QUBIT_EVENT, TruncationTarget.full(2),
+                     SearchConfig(seeds=0, max_iterations=50, fix_t3=1.0),
+                     seed_specs=[GqsdSpec([0.5] * 5)])
+        with pytest.raises(ValueError, match="T3"):
+            refine(GqsdSpec([0.5] * 5), QUBIT_EVENT, TruncationTarget.full(2), fix_t3=1.0)
+
+    def test_seed_within_tolerance_accepted(self):
+        spec = GqsdSpec([0.5, 1, 1 - 1e-13, 0.5, 1])
+        assert spec_to_params(spec, fix_t3=1.0).size == 9
+        assert spec_to_params(GqsdSpec([0.5] * 5), fix_t3=0.5).size == 9
 
 
 class TestObjective:
@@ -144,6 +175,12 @@ class TestOptimize:
 
 
 class TestRefine:
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10, math.inf])
+    def test_invalid_tolerance_rejected(self, tol):
+        # refine(tol=nan) returned its start unchanged
+        with pytest.raises(ValueError):
+            refine(TWELFTH_SPEC, QUARTIT_EVENT, TruncationTarget.full(4), tol=tol)
+
     def test_polishes_perturbed_solution(self):
         rng = np.random.default_rng(5)
         t = np.array(TWELFTH_SPEC.transmittances) + rng.uniform(-1e-3, 1e-3, 5)
