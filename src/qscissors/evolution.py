@@ -1,9 +1,17 @@
-"""Fock-state evolution through linear networks: scattering-matrix engine and its oracle."""
+"""Fock-state evolution through linear networks: scattering-matrix engine and its oracle.
+
+The engine (``_sectors``) carries a leading batch axis: a stack of B
+scattering matrices shares one pass, each device keeping its own sector
+arrays, so B devices cost about one device's Python overhead. Single-device
+callers pass a batch of one.
+"""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -73,44 +81,99 @@ def evolve_fock_oracle(s: np.ndarray, occupation,
     return MultimodeState(n_modes, dict(zip(map(tuple, keys.tolist()), amps.tolist())))
 
 
-def _create(amps: np.ndarray, column, photons: int, k: int, cut=None) -> np.ndarray:
-    """Apply sum_j column[j] a_j^dag / sqrt(k) to a sector of ``photons`` photons.
+# Sectors up to this many cells keep their mode-1 weights cached; larger ones
+# (the uncut sectors of a large coherent field) would hold megabytes each.
+_CACHED_WEIGHT_CELLS = 4096
 
-    A sector holds amplitudes indexed by the occupations of modes 2..N (mode 1
-    holds the rest); ``cut`` bounds them, as creation never lowers one.
+
+def _mode1_weight(photons: int, shape) -> np.ndarray:
+    """sqrt(photons + 1 - m2 - m3 - ...) over a sector's cells, clipped at zero (read-only)."""
+    weight = np.sqrt(np.maximum(photons + 1 - sum(np.ix_(*map(np.arange, shape))), 0))
+    weight.flags.writeable = False  # the cached copies are shared
+    return weight
+
+
+_cached_mode1_weight = functools.lru_cache(maxsize=256)(_mode1_weight)
+
+
+@functools.lru_cache(maxsize=256)
+def _root_weight(top: int, trailing: int) -> np.ndarray:
+    """sqrt(1 .. top) as a column over ``trailing`` further sector axes (read-only)."""
+    weight = np.sqrt(np.arange(1, top + 1)).reshape((-1,) + (1,) * trailing)
+    weight.flags.writeable = False
+    return weight
+
+
+def _create(amps: np.ndarray, column, active, photons: int, k: int, cut=None) -> np.ndarray:
+    """Apply sum_j column[j] a_j^dag / sqrt(k) to a batch of sectors of ``photons`` photons.
+
+    ``amps`` is (B, ...): one sector per device, indexed by the occupations of
+    modes 2..N (mode 1 holds the rest). ``column[:, j]`` holds the devices'
+    coefficients of a_j^dag, shaped to broadcast against ``amps``; ``active[j]``
+    is false where all of them are zero. ``cut`` bounds the sector, as
+    creation never lowers an occupation.
     """
-    shape = cut or tuple(n + 1 for n in amps.shape)
-    out = np.zeros(shape, dtype=complex)
-    common = tuple(slice(0, min(a, b)) for a, b in zip(amps.shape, shape))
-    if column[0] != 0:
-        mode1 = photons + 1 - sum(np.ix_(*(np.arange(c.stop) for c in common)))
-        out[common] += column[0] * np.sqrt(np.maximum(mode1, 0)) * amps[common]
-    for axis, coeff in enumerate(column[1:]):
-        top = min(amps.shape[axis], shape[axis] - 1)
-        if coeff != 0 and top > 0:
+    shape = cut or tuple(n + 1 for n in amps.shape[1:])
+    out = np.zeros(amps.shape[:1] + shape, dtype=complex)
+    sizes = tuple(min(a, b) for a, b in zip(amps.shape[1:], shape))
+    common = (slice(None),) + tuple(slice(0, n) for n in sizes)
+    if active[0]:
+        small = math.prod(sizes) <= _CACHED_WEIGHT_CELLS
+        term = column[:, 0] * (_cached_mode1_weight if small else _mode1_weight)(photons, sizes)
+        term *= amps[common]  # in place: one sector-sized temporary, not two
+        out[common] += term
+    for axis in range(1, len(shape) + 1):
+        top = min(amps.shape[axis], shape[axis - 1] - 1)
+        if active[axis] and top > 0:
             src, dst = list(common), list(common)
             src[axis], dst[axis] = slice(0, top), slice(1, top + 1)
-            weight = np.sqrt(np.arange(1, top + 1)).reshape((-1,) + (1,) * (len(shape) - axis - 1))
-            out[tuple(dst)] += coeff * weight * amps[tuple(src)]
-    return out / math.sqrt(k)
+            weight = _root_weight(top, len(shape) - axis)
+            out[tuple(dst)] += column[:, axis] * weight * amps[tuple(src)]
+    out /= math.sqrt(k)
+    return out
 
 
 def _sectors(s: np.ndarray, prefix, n_max: int, cut=None):
-    """Yield (photons, sector) of S acting on |prefix, n> for n = 0 .. n_max."""
-    amps, photons = np.ones((1,) * (len(s) - 1), dtype=complex), 0
+    """Yield (photons, sectors) of each S in s (B, N, N) acting on |prefix, n>, n = 0 .. n_max.
+
+    ``sectors`` is (B, ...), one sector per device. All devices share one
+    pass: a column term is skipped only where it vanishes for every device.
+    """
+    n_modes = s.shape[-1]
+    # coeffs[:, j, mode] broadcasts against a (B, ...) sector.
+    coeffs = s.reshape(s.shape + (1,) * (n_modes - 1))
+    active = np.any(s != 0, axis=0)
+    amps, photons = np.ones((len(s),) + (1,) * (n_modes - 1), dtype=complex), 0
     for mode, count in enumerate(prefix):
         for k in range(1, count + 1):
-            amps = _create(amps, s[:, mode], photons + k - 1, k, cut)
+            amps = _create(amps, coeffs[:, :, mode], active[:, mode], photons + k - 1, k, cut)
         photons += count
     for n in range(n_max + 1):
         if n:
-            amps = _create(amps, s[:, -1], photons + n - 1, n, cut)
+            amps = _create(amps, coeffs[:, :, -1], active[:, -1], photons + n - 1, n, cut)
         yield photons + n, amps
+
+
+def _check_engine_args(s: np.ndarray, batched: bool, n_max, *photon_groups):
+    """Raise ValueError unless s is (..., N, N) (just (N, N) unless ``batched``),
+    each photon group has N - 1 entries, and every photon number and n_max is a
+    non-negative integer."""
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2] or (s.ndim > 2 and not batched):
+        raise ValueError(f"expected {'(..., N, N)' if batched else '(N, N)'} "
+                         f"scattering matrices, got shape {s.shape}")
+    for group in photon_groups:
+        if len(group) != s.shape[-1] - 1:
+            raise ValueError(f"expected {s.shape[-1] - 1} photon numbers for a "
+                             f"{s.shape[-1]}-mode network, got {tuple(group)}")
+    for n in (n_max,) + tuple(itertools.chain(*photon_groups)):
+        if not (isinstance(n, numbers.Integral) and n >= 0):
+            raise ValueError(f"photon numbers and n_max must be non-negative "
+                             f"integers, got {n!r}")
 
 
 def evolve(state: MultimodeState, elements) -> MultimodeState:
     """Apply an element sequence in temporal order (first element first)."""
-    s = scattering_matrix(elements, state.modes)
+    s = scattering_matrix(elements, state.modes)[None]
     groups: dict[tuple[int, ...], dict[int, complex]] = {}
     for key, amp in state.amplitudes.items():
         groups.setdefault(key[:-1], {})[key[-1]] = amp
@@ -118,7 +181,7 @@ def evolve(state: MultimodeState, elements) -> MultimodeState:
     for prefix, tail in groups.items():
         for n, (photons, amps) in enumerate(_sectors(s, prefix, max(tail))):
             if n in tail:
-                sectors[photons] = sectors.get(photons, 0) + tail[n] * amps
+                sectors[photons] = sectors.get(photons, 0) + tail[n] * amps[0]
     amplitudes = {}
     for photons, amps in sectors.items():
         index = np.argwhere(amps)
@@ -143,9 +206,12 @@ def detected_blocks(s: np.ndarray, fock_inputs, gammas) -> list:
     p = n1 + t of one ``_sectors`` pass. Photon number is conserved, so
     every output amplitude lands in exactly one cell; rows with p < P0 or a
     zero gamma stay zero. No dense (n1, every occupation) array is built:
-    most of its cells cannot be reached.
+    most of its cells cannot be reached. ``s`` is one (N, N) matrix, with
+    N - 1 ``fock_inputs``, and ``gammas`` must not be empty.
     """
+    s = np.asarray(s, dtype=complex)
     gammas = np.asarray(gammas, dtype=complex)
+    _check_engine_args(s, False, len(gammas) - 1, fock_inputs)
     p0 = sum(fock_inputs)
     p_max = p0 + len(gammas) - 1
     # Every (m2, m3, m4) with sum <= p_max, ordered by that sum t: block t is
@@ -158,17 +224,29 @@ def detected_blocks(s: np.ndarray, fock_inputs, gammas) -> list:
     offsets = [t * (t + 1) * (t + 2) // 6 for t in range(p_max + 2)]
     phis = [np.zeros((p_max - t + 1, offsets[t + 1] - offsets[t]), dtype=complex)
             for t in range(p_max + 1)]
-    for gamma, (p, amps) in zip(gammas, _sectors(s, fock_inputs, len(gammas) - 1)):
-        values = gamma * amps[tuple(occupations[:, :offsets[p + 1]])]
+    for gamma, (p, amps) in zip(gammas, _sectors(s[None], fock_inputs, len(gammas) - 1)):
+        values = gamma * amps[0][tuple(occupations[:, :offsets[p + 1]])]
         for t in range(p + 1):
             phis[t][p - t] = values[offsets[t]:offsets[t + 1]]
     return [DetectedBlock(occupations[:, offsets[t]:offsets[t + 1]], phi)
             for t, phi in enumerate(phis)]
 
 
-def projected_amplitudes(s: np.ndarray, fock_inputs, counts, n_max: int) -> list:
-    """<n, counts| U |fock_inputs, n> for n = 0 .. n_max (counts on modes 2..N), in one pass."""
+def projected_amplitudes(s: np.ndarray, fock_inputs, counts, n_max: int) -> np.ndarray:
+    """<n, counts| U |fock_inputs, n> for n = 0 .. n_max (counts on modes 2..N), in one pass.
+
+    ``s`` is one (N, N) scattering matrix or a stack (..., N, N) of them;
+    the result has shape (..., n_max + 1). A stack of B devices costs one
+    ``_sectors`` pass, not B.
+    """
+    s = np.asarray(s, dtype=complex)
+    _check_engine_args(s, True, n_max, fock_inputs, counts)
     if sum(counts) != sum(fock_inputs):
         raise ValueError(f"counts {counts} do not conserve the photons of {fock_inputs}")
-    cut = tuple(c + 1 for c in counts)
-    return [complex(amps[tuple(counts)]) for _, amps in _sectors(s, fock_inputs, n_max, cut)]
+    stack = s.reshape((-1,) + s.shape[-2:])
+    cell = (slice(None),) + tuple(counts)
+    out = np.empty((len(stack), n_max + 1), dtype=complex)
+    for n, (_, amps) in enumerate(_sectors(stack, fock_inputs, n_max,
+                                            tuple(c + 1 for c in counts))):
+        out[:, n] = amps[cell]
+    return out.reshape(s.shape[:-2] + (n_max + 1,))

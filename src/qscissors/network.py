@@ -96,24 +96,61 @@ class GqsdSpec:
 
     def elements(self) -> list:
         """Element sequence in temporal (application) order."""
-        t1, t2, t3, t4, t5 = self.transmittances
-        x1, x2, x3, x4, x5, x6 = self.phases
-        z = self.mirror_zeta
-        return [PhaseShifter(0, z),  # mode-1 mirror reflection, before B1
-                PhaseShifter(0, x1), BeamSplitter((0, 1), t1),
-                PhaseShifter(1, z),  # mode-2 reflection, between B1 and B3
-                PhaseShifter(0, x2), BeamSplitter((0, 2), t2),
-                PhaseShifter(1, x3), BeamSplitter((1, 2), t3),
-                PhaseShifter(2, z),  # mode-3 reflection, between B3 and B5
-                PhaseShifter(1, x4), BeamSplitter((1, 3), t4),
-                PhaseShifter(2, x5), BeamSplitter((2, 3), t5),
-                PhaseShifter(0, x6),
-                PhaseShifter(3, z)]  # mode-4 reflection, before detection
+        return [BeamSplitter(modes, self.transmittances[k]) if isinstance(modes, tuple)
+                else PhaseShifter(modes, self.mirror_zeta if k is None else self.phases[k])
+                for modes, k in _GQSD_LAYOUT]
+
+
+# The device in temporal order, one (modes, k) per element: a mode pair is
+# the beam splitter with T_{k+1}, a single mode a phase shifter with
+# xi_{k+1}, or with mirror_zeta where k is None.
+_GQSD_LAYOUT = (
+    (0, None),  # mode-1 mirror reflection, before B1
+    (0, 0), ((0, 1), 0),
+    (1, None),  # mode-2 reflection, between B1 and B3
+    (0, 1), ((0, 2), 1),
+    (1, 2), ((1, 2), 2),
+    (2, None),  # mode-3 reflection, between B3 and B5
+    (1, 3), ((1, 3), 3),
+    (2, 4), ((2, 3), 4),
+    (0, 5),
+    (3, None))  # mode-4 reflection, before detection
 
 
 def gqsd_matrix(spec: GqsdSpec) -> np.ndarray:
     """Total 4x4 scattering matrix of the device (earliest element rightmost)."""
     return scattering_matrix(spec.elements(), 4)
+
+
+def gqsd_matrices(transmittances, phases, mirror_zeta: float = 0.0) -> np.ndarray:
+    """The (B, 4, 4) scattering matrices of B devices, from (B, 5) T and (B, 6) xi.
+
+    Applies the row updates of ``scattering_matrix`` in the order of
+    ``GqsdSpec.elements`` to all devices at once, without element objects:
+    each matrix equals ``gqsd_matrix`` of its spec bit for bit.
+    """
+    transmittances = np.asarray(transmittances, dtype=float)
+    phases = np.asarray(phases, dtype=float)
+    if transmittances.ndim != 2 or transmittances.shape[1] != 5 \
+            or phases.shape != (len(transmittances), 6):
+        raise ValueError(f"expected (B, 5) transmittances and (B, 6) phases, got "
+                         f"{transmittances.shape} and {phases.shape}")
+    if not np.all((transmittances >= 0.0) & (transmittances <= 1.0)):
+        raise ValueError("transmittance outside [0, 1]")
+    if not (np.all(np.isfinite(phases)) and math.isfinite(mirror_zeta)):
+        raise ValueError("non-finite phase or mirror_zeta")
+    t, r = np.sqrt(transmittances), np.sqrt(1.0 - transmittances)
+    shifts = np.exp(1j * phases)
+    mirror = cmath.exp(1j * mirror_zeta)
+    s = np.tile(np.eye(4, dtype=complex), (len(phases), 1, 1))
+    for modes, k in _GQSD_LAYOUT:
+        if isinstance(modes, tuple):
+            i, j = modes
+            tk, rk = t[:, k, None], r[:, k, None]
+            s[:, i], s[:, j] = tk * s[:, i] + rk * s[:, j], tk * s[:, j] - rk * s[:, i]
+        else:
+            s[:, modes] *= mirror if k is None else shifts[:, k, None]
+    return s
 
 
 @dataclass(frozen=True)

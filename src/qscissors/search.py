@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import logging
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .network import GqsdSpec
+from .evolution import projected_amplitudes
+from .network import GqsdSpec, gqsd_matrices
 from .scissors import (MeasurementEvent, TruncationTarget, conditional_amplitudes,
                        truncation_defect)
+
+logger = logging.getLogger("qscissors")
 
 JACOBIAN_STEP = 1e-6
 STEP_CAP = 0.01  # largest change of one parameter per step
@@ -24,7 +29,9 @@ FIX_T3_TOL = 1e-12
 class SearchConfig:
     """Multi-start Levenberg-Marquardt search settings.
 
-    ``max_iterations`` caps the residual evaluations of each start.
+    ``max_iterations`` caps the residual evaluations of each start; each
+    point of a Jacobian's central-difference stencil counts as one, though
+    the stencil is evaluated in one batched engine pass.
     ``fix_t3`` pins the middle transmittance (e.g. 1.0 to freeze BS3 out
     of the search); the corresponding angle is then removed from the
     search vector. Converged points whose heralded amplitude |c_k0| falls
@@ -61,6 +68,16 @@ class SolutionRecord:
     amplitude: float
 
 
+def _decode(rows, fix_t3: float | None):
+    """(transmittances (B, 5), phases (B, 6)) of the search vectors ``rows`` (B, P)."""
+    n_thetas = 5 if fix_t3 is None else 4
+    transmittances = np.cos(rows[:, :n_thetas]) ** 2
+    if fix_t3 is not None:
+        transmittances = np.insert(transmittances, 2, fix_t3, axis=1)
+    phases = np.concatenate([rows[:, n_thetas:], np.zeros((len(rows), 1))], axis=1)
+    return transmittances, phases
+
+
 def params_to_spec(params, fix_t3: float | None = None) -> GqsdSpec:
     """Decode a search vector into device parameters.
 
@@ -68,12 +85,8 @@ def params_to_spec(params, fix_t3: float | None = None) -> GqsdSpec:
     free phases xi1..xi5 (xi6 = 0). With ``fix_t3`` set, theta_3 is
     absent and the vector has 9 entries.
     """
-    params = np.asarray(params, dtype=float)
-    n_thetas = 5 if fix_t3 is None else 4
-    transmittances = list(np.cos(params[:n_thetas]) ** 2)
-    if fix_t3 is not None:
-        transmittances.insert(2, fix_t3)
-    return GqsdSpec(tuple(transmittances), tuple(params[n_thetas:]) + (0.0,))
+    transmittances, phases = _decode(np.asarray(params, dtype=float)[None], fix_t3)
+    return GqsdSpec(tuple(transmittances[0]), tuple(phases[0]))
 
 
 def spec_to_params(spec: GqsdSpec, fix_t3: float | None = None) -> np.ndarray:
@@ -100,37 +113,79 @@ def objective(params, event: MeasurementEvent, target: TruncationTarget,
     return truncation_defect(c, target)
 
 
+def _pattern_residuals(event: MeasurementEvent, target: TruncationTarget,
+                       fix_t3: float | None):
+    """The fit's residual map: search vectors (B, P) -> rows (B, 2(d - 1)).
+
+    Row b holds c_n / c_k0 - [n in K] for n != k0 (real and imaginary parts
+    interleaved) of device b, or inf where c_k0 = 0. All B devices go
+    through one engine pass.
+    """
+    k0 = min(target.keep)
+    pattern = np.array([n in target.keep for n in range(target.d) if n != k0], dtype=float)
+
+    def residuals(rows):
+        s = gqsd_matrices(*_decode(rows, fix_t3))
+        c = projected_amplitudes(s, event.fock_inputs, event.counts, event.dim - 1)
+        c_k0 = c[:, k0, None]
+        vanishing = c_k0[:, 0] == 0
+        r = (np.delete(c, k0, axis=1) / np.where(vanishing[:, None], 1.0, c_k0)
+             - pattern).view(float)
+        r[vanishing] = np.inf
+        return r
+
+    return residuals
+
+
+def _central_jacobian(residuals, x: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian (R, D) of ``residuals`` at ``x`` along the
+    rows of ``directions`` (D, P, each a step of ``JACOBIAN_STEP``), from one
+    batch of its 2D stencil points."""
+    stencil = residuals(np.concatenate([x + directions, x - directions]))
+    half = len(directions)
+    # C order: np.sum over axis 0 of a transposed view rounds differently.
+    return np.ascontiguousarray(((stencil[:half] - stencil[half:]) / (2 * JACOBIAN_STEP)).T)
+
+
+class FitResult(NamedTuple):
+    """Where a fit stopped (see ``_fit_pattern``)."""
+
+    x: np.ndarray
+    evaluations: int  # residual evaluations, stencil points included
+    stop: str  # "tolerance", "budget" or "stalled"
+
+
 def _fit_pattern(x0, event: MeasurementEvent, target: TruncationTarget,
-                 fix_t3: float | None, max_evaluations: int, tol: float) -> np.ndarray:
+                 fix_t3: float | None, max_evaluations: int, tol: float) -> FitResult:
     """Levenberg-Marquardt fit of c_n / c_k0 to the target pattern, from ``x0``.
 
     The residual c_n / c_k0 - [n in K] (n != k0, real and imaginary parts)
     has moduli summing to defect / |c_k0|: the all-zero limit is no solution,
     and the global phase, set by xi1 alone, drops out (xi1 never moves).
-    Central-difference Jacobian, Marquardt scaling, steps capped at
-    ``STEP_CAP`` per coordinate (uncapped ones slide along solution families
-    towards c = 0), angles held in [0, pi/2]. Returns the last accepted point
-    once defect / |c_k0| < ``tol``, before a Jacobian would pass
-    ``max_evaluations`` residual evaluations, or when the damped step stalls.
-    """
-    k0 = min(target.keep)
-    pattern = np.array([n in target.keep for n in range(target.d) if n != k0], dtype=float)
+    Central-difference Jacobian, its 2(P - 1) stencil points evaluated as one
+    batch of devices in a single engine pass; Marquardt scaling, steps capped
+    at ``STEP_CAP`` per coordinate (uncapped ones slide along solution
+    families towards c = 0), angles held in [0, pi/2].
 
-    def residual(params):
-        c = conditional_amplitudes(params_to_spec(params, fix_t3=fix_t3), event).as_array()
-        if c[k0] == 0:
-            return np.full(2 * pattern.size, np.inf)
-        return (np.delete(c, k0) / c[k0] - pattern).view(float)
+    Returns the last accepted point, the residual evaluations spent (each
+    stencil point counts as one) and why the fit stopped: "tolerance" once
+    defect / |c_k0| < ``tol``, "budget" before a Jacobian would pass
+    ``max_evaluations``, "stalled" when the damped step no longer moves the
+    point or the residual is not finite.
+    """
+    residuals = _pattern_residuals(event, target, fix_t3)
+
+    def misfit(r):
+        return np.sum(np.abs(r.view(complex)))
 
     x = np.asarray(x0, dtype=float)
     n_thetas = x.size - 5
     directions = np.delete(np.eye(x.size), n_thetas, axis=0) * JACOBIAN_STEP
-    r = residual(x)
+    r = residuals(x[None])[0]
     evaluations, damping = 1, 1e-3
-    while (tol <= np.sum(np.abs(r.view(complex))) < math.inf
+    while (tol <= misfit(r) < math.inf
            and evaluations + 2 * len(directions) < max_evaluations):
-        jacobian = np.column_stack([(residual(x + h) - residual(x - h)) / (2 * JACOBIAN_STEP)
-                                    for h in directions])
+        jacobian = _central_jacobian(residuals, x, directions)
         evaluations += 2 * len(directions)
         scale = np.sum(jacobian ** 2, axis=0)
         rhs = np.concatenate([-r, np.zeros(len(directions))])
@@ -140,15 +195,17 @@ def _fit_pattern(x0, event: MeasurementEvent, target: TruncationTarget,
             trial = x + np.insert(np.clip(step, -STEP_CAP, STEP_CAP), n_thetas, 0.0)
             trial[:n_thetas] = np.clip(trial[:n_thetas], 0.0, math.pi / 2)
             if np.array_equal(trial, x):
-                return x
-            r_trial = residual(trial)
+                return FitResult(x, evaluations, "stalled")
+            r_trial = residuals(trial[None])[0]
             evaluations += 1
             if r_trial @ r_trial < r @ r:
                 x, r = trial, r_trial
                 damping /= 10.0
                 break
             damping *= 10.0
-    return x
+    final = misfit(r)
+    stop = "tolerance" if final < tol else "budget" if math.isfinite(final) else "stalled"
+    return FitResult(x, evaluations, stop)
 
 
 def optimize(event: MeasurementEvent, target: TruncationTarget,
@@ -163,7 +220,10 @@ def optimize(event: MeasurementEvent, target: TruncationTarget,
     tolerance, so |c_k0| fixes the heralded operation up to a global phase:
     one record is kept per |c_k0| (relative ``AMPLITUDE_DEDUP_RTOL``), which
     also merges gauge and mirror copies of one device. Records are returned
-    sorted by descending |c_k0|.
+    sorted by descending |c_k0|. Each start logs one DEBUG record on the
+    ``qscissors`` logger: its evaluations, why its fit stopped, its defect
+    and |c_k0|, and whether it was kept or rejected (amplitude floor,
+    defect or duplicate).
     """
     rng = np.random.default_rng(config.random_seed)
     fix_t3 = config.fix_t3
@@ -177,19 +237,26 @@ def optimize(event: MeasurementEvent, target: TruncationTarget,
 
     records = []
     k0 = min(target.keep)
-    for x0 in starts:
-        x = _fit_pattern(x0, event, target, fix_t3, config.max_iterations,
-                         config.convergence_tol)
-        spec = params_to_spec(x, fix_t3=fix_t3)
+    for index, x0 in enumerate(starts):
+        fit = _fit_pattern(x0, event, target, fix_t3, config.max_iterations,
+                           config.convergence_tol)
+        spec = params_to_spec(fit.x, fix_t3=fix_t3)
         c = conditional_amplitudes(spec, event)
         defect, amplitude = truncation_defect(c, target), abs(c.c[k0])
-        if (amplitude < config.min_amplitude
-                or defect >= config.convergence_tol * amplitude
-                or any(math.isclose(amplitude, r.amplitude, rel_tol=AMPLITUDE_DEDUP_RTOL)
-                       for r in records)):
-            continue
-        records.append(SolutionRecord(spec=spec, event=event, target=target,
-                                      defect=defect, amplitude=amplitude))
+        if amplitude < config.min_amplitude:
+            verdict = "rejected (amplitude floor)"
+        elif defect >= config.convergence_tol * amplitude:
+            verdict = "rejected (defect)"
+        elif any(math.isclose(amplitude, r.amplitude, rel_tol=AMPLITUDE_DEDUP_RTOL)
+                 for r in records):
+            verdict = "rejected (duplicate)"
+        else:
+            verdict = "kept"
+            records.append(SolutionRecord(spec=spec, event=event, target=target,
+                                          defect=defect, amplitude=amplitude))
+        logger.debug("optimize start %d: %d evaluations, stop %s, defect %.3e, "
+                     "|c_k0| %.3e, %s", index, fit.evaluations, fit.stop, defect,
+                     amplitude, verdict)
     records.sort(key=lambda r: -r.amplitude)
     return records
 
@@ -207,5 +274,5 @@ def refine(spec: GqsdSpec, event: MeasurementEvent, target: TruncationTarget,
     """
     SearchConfig(max_iterations=max_iterations, convergence_tol=tol, fix_t3=fix_t3)  # validates
     x = _fit_pattern(spec_to_params(spec, fix_t3=fix_t3), event, target, fix_t3,
-                     max_iterations, tol)
+                     max_iterations, tol).x
     return params_to_spec(x, fix_t3=fix_t3), objective(x, event, target, fix_t3=fix_t3)

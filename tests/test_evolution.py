@@ -3,13 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_gqsd
-from qscissors.evolution import OracleLimitError, evolve, evolve_fock_oracle
+from qscissors.evolution import (OracleLimitError, _sectors, detected_blocks, evolve,
+                                 evolve_fock_oracle, projected_amplitudes)
 from qscissors.fock import (coherent_expansion, embed_input, fock_product_state,
                             total_photons)
-from qscissors.network import (BeamSplitter, GqsdSpec, PhaseShifter, gqsd_matrix,
-                               scattering_matrix)
+from qscissors.network import (BeamSplitter, GqsdSpec, PhaseShifter, gqsd_matrices,
+                               gqsd_matrix, scattering_matrix)
+
+# One heralding event per dimension d = 2..6.
+EVENTS = [((1, 0, 0), (0, 0, 1)), ((1, 1, 0), (1, 0, 1)), ((1, 1, 1), (1, 1, 1)),
+          ((1, 2, 1), (1, 2, 1)), ((2, 1, 2), (2, 1, 2))]
 
 
 def bs5050(n_modes=2):
@@ -168,3 +175,106 @@ class TestEvolve:
                 expected = expected.add(
                     evolve_fock_oracle(s, (1, 1, 1, n)).scaled(field.gammas[n]))
             assert max_amplitude_diff(out, expected) < 1e-11
+
+
+def random_stack(rng, batch):
+    """(batch, 4, 4) device matrices with random T, xi and mirror phase."""
+    return gqsd_matrices(rng.random((batch, 5)), rng.uniform(-np.pi, np.pi, (batch, 6)),
+                         rng.uniform(-np.pi, np.pi))
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("fock_inputs, counts", EVENTS)
+    def test_stack_equals_per_device_calls(self, rng, fock_inputs, counts):
+        stack = random_stack(rng, 18)
+        stack[3] = gqsd_matrix(GqsdSpec([1, 1, 1, 1, 1]))  # zero columns for one device only
+        n_max = sum(fock_inputs)
+        batched = projected_amplitudes(stack, fock_inputs, counts, n_max)
+        assert batched.shape == (18, n_max + 1)
+        for s, row in zip(stack, batched):
+            assert np.array_equal(row, projected_amplitudes(s, fock_inputs, counts, n_max))
+
+    def test_leading_axes_kept(self, rng):
+        stack = random_stack(rng, 6).reshape(2, 3, 4, 4)
+        out = projected_amplitudes(stack, (1, 1, 1), (1, 1, 1), 3)
+        assert out.shape == (2, 3, 4)
+        assert np.array_equal(out[1, 2], projected_amplitudes(stack[1, 2], (1, 1, 1),
+                                                              (1, 1, 1), 3))
+
+
+S4 = gqsd_matrix(GqsdSpec([1 / 3, 1 / 4, 1, 1 / 3, 1 / 2], (0, 0, 0, 0, np.pi / 2, 0)))
+
+
+class TestEngineArguments:
+    # each of these used to return a value without complaint
+    @pytest.mark.parametrize("args", [
+        (S4, (1, 1, 1, 0), (1, 1, 1), 2),
+        (S4, (-1, 1, 1), (0, 0, 1), 2),
+        (S4, (1, 1, 1), (1, 1, 1, 0), 2),
+        (S4, (1, 1, 1), (1, 1, 1), -1),
+        (S4, (1, 1, 1), (1, 1, 1), 2.0),
+        (S4, (1.5, 1, 1), (1, 1.5, 1), 2),
+        (S4[:3], (1, 1), (1, 1), 2),
+        (S4[0], (1, 1, 1), (1, 1, 1), 2)])
+    def test_projected_amplitudes_rejects(self, args):
+        with pytest.raises(ValueError):
+            projected_amplitudes(*args)
+
+    @pytest.mark.parametrize("s, fock_inputs, gammas", [
+        (S4, (1, 1), [1.0, 0.5]),
+        (S4, (1, 1, -1), [1.0]),
+        (S4, (1, 1, 1), []),
+        (S4[None], (1, 1, 1), [1.0])])
+    def test_detected_blocks_rejects(self, s, fock_inputs, gammas):
+        with pytest.raises(ValueError):
+            detected_blocks(s, fock_inputs, gammas)
+
+    def test_numpy_integers_accepted(self):
+        counts = tuple(np.int64(1) for _ in range(3))
+        assert np.array_equal(projected_amplitudes(S4, (1, 1, 1), counts, np.int32(3)),
+                              projected_amplitudes(S4, (1, 1, 1), (1, 1, 1), 3))
+
+
+class TestEngineProperties:
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           occupation=st.lists(st.integers(0, 8), min_size=4, max_size=4)
+           .filter(lambda occ: sum(occ) <= 8))
+    def test_matches_oracle(self, seed, occupation):
+        spec = random_gqsd(np.random.default_rng(seed), n_phases=6)
+        fast = evolve(fock_product_state(tuple(occupation)), spec.elements())
+        slow = evolve_fock_oracle(gqsd_matrix(spec), occupation)
+        assert max_amplitude_diff(fast, slow) < 1e-11
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 6),
+           prefix=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+           n_gammas=st.integers(1, 5))
+    def test_norm_conserved(self, seed, batch, prefix, n_gammas):
+        rng = np.random.default_rng(seed)
+        stack = random_stack(rng, batch)
+        # every uncut sector of every device is the normalised output of a Fock state
+        for _, sectors in _sectors(stack, prefix, n_gammas - 1):
+            norms = np.sum(np.abs(sectors.reshape(batch, -1)) ** 2, axis=1)
+            assert np.max(np.abs(norms - 1.0)) < 1e-12
+        gammas = rng.normal(size=n_gammas) + 1j * rng.normal(size=n_gammas)
+        for s in stack:
+            blocks = detected_blocks(s, prefix, gammas)
+            total = sum(np.sum(np.abs(block.phi) ** 2) for block in blocks)
+            expected = np.sum(np.abs(gammas) ** 2)
+            assert abs(total - expected) < 1e-12 * expected
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), event=st.sampled_from(EVENTS),
+           phi=st.floats(-np.pi, np.pi))
+    def test_xi6_phase_law(self, seed, event, phi):
+        # xi6 sits on output mode 1: c_n picks up exp(i n phi)
+        rng = np.random.default_rng(seed)
+        transmittances, phases = rng.random((4, 5)), rng.uniform(-np.pi, np.pi, (4, 6))
+        base = gqsd_matrices(transmittances, phases)
+        phases[:, 5] += phi
+        shifted = gqsd_matrices(transmittances, phases)
+        n_max = sum(event[0])
+        c0 = projected_amplitudes(base, *event, n_max)
+        c = projected_amplitudes(shifted, *event, n_max)
+        assert np.max(np.abs(c - c0 * np.exp(1j * phi * np.arange(n_max + 1)))) < 1e-13

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_gqsd
 from qscissors.network import (BeamSplitter, GeneralBsSpec, GqsdSpec,
                                PhaseShifter, decompose_general_bs,
-                               general_bs_matrix, gqsd_matrix, scattering_matrix,
-                               verify_unitary)
+                               general_bs_matrix, gqsd_matrices, gqsd_matrix,
+                               scattering_matrix, verify_unitary)
+from qscissors.search import params_to_spec
 
 
 class TestElementMatrix:
@@ -113,6 +116,52 @@ class TestGqsdMatrix:
             phases[index] = value
         with pytest.raises(ValueError, match="non-finite"):
             GqsdSpec([0.5] * 5, phases, mirror_zeta=value if index == 6 else 0.0)
+
+
+
+class TestGqsdMatrices:
+    def test_equal_to_element_path(self, rng):
+        # mirror phases, a fixed T3 and angles at 0 and pi/2 included
+        thetas = rng.uniform(0.0, np.pi / 2, (40, 4))
+        thetas[::4, 0], thetas[1::4, 3] = 0.0, np.pi / 2
+        for zeta in (0.0, rng.uniform(-np.pi, np.pi)):
+            for fix_t3 in (None, 1.0, 0.3):
+                specs = []
+                for row in thetas:
+                    angles = row if fix_t3 is not None else np.insert(row, 2, 0.7)
+                    x = np.concatenate([angles, rng.uniform(-4, 4, 5)])
+                    spec = params_to_spec(x, fix_t3=fix_t3)
+                    specs.append(GqsdSpec(spec.transmittances, spec.phases[:5]
+                                          + (rng.uniform(-4, 4),), zeta))
+                batch = gqsd_matrices([s.transmittances for s in specs],
+                                      [s.phases for s in specs], zeta)
+                for spec, s in zip(specs, batch):
+                    assert np.array_equal(s, gqsd_matrix(spec))
+
+    def test_empty_batch(self):
+        assert gqsd_matrices(np.zeros((0, 5)), np.zeros((0, 6))).shape == (0, 4, 4)
+
+    @pytest.mark.parametrize("t, x, zeta", [
+        (np.ones((2, 4)), np.zeros((2, 6)), 0.0),
+        (np.ones((2, 5)), np.zeros((3, 6)), 0.0),
+        (np.ones(5), np.zeros(6), 0.0),
+        (np.full((1, 5), 1.5), np.zeros((1, 6)), 0.0),
+        (np.full((1, 5), np.nan), np.zeros((1, 6)), 0.0),
+        (np.ones((1, 5)), np.full((1, 6), np.inf), 0.0),
+        (np.ones((1, 5)), np.zeros((1, 6)), np.nan)])
+    def test_bad_parameters_rejected(self, t, x, zeta):
+        with pytest.raises(ValueError):
+            gqsd_matrices(t, x, zeta)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 12),
+           zeta=st.floats(-np.pi, np.pi))
+    def test_unitary(self, seed, batch, zeta):
+        rng = np.random.default_rng(seed)
+        s = gqsd_matrices(rng.random((batch, 5)), rng.uniform(-np.pi, np.pi, (batch, 6)),
+                          zeta)
+        residual = np.conj(np.swapaxes(s, 1, 2)) @ s - np.eye(4)
+        assert np.max(np.abs(residual)) < 1e-12
 
 
 class TestGeneralBsDecomposition:

@@ -1,3 +1,4 @@
+import logging
 import math
 import os
 import subprocess
@@ -13,7 +14,8 @@ from qscissors.network import GqsdSpec
 from qscissors.scissors import (MeasurementEvent, TruncationTarget,
                                 conditional_amplitudes, symmetry_transforms,
                                 truncation_defect)
-from qscissors.search import (SearchConfig, objective, optimize,
+from qscissors.search import (JACOBIAN_STEP, SearchConfig, _central_jacobian, _decode,
+                              _fit_pattern, _pattern_residuals, objective, optimize,
                               params_to_spec, refine, spec_to_params)
 
 PI = math.pi
@@ -43,6 +45,93 @@ class TestParametrization:
         for theta in np.linspace(-3, 3, 25):
             spec = params_to_spec([theta, 0.1, 0.2, 0.3, 0.4, 0, 0, 0, 0, 0])
             assert 0.0 <= spec.transmittances[0] <= 1.0
+
+
+    @pytest.mark.parametrize("fix_t3", [None, 1.0, 0.25])
+    def test_spec_is_the_shared_decoder(self, rng, fix_t3):
+        rows = rng.uniform(-1.0, 2.0, (6, 10 if fix_t3 is None else 9))
+        rows[0, :2] = (0.0, PI / 2)
+        transmittances, phases = _decode(rows, fix_t3)
+        for row, t, x in zip(rows, transmittances, phases):
+            spec = params_to_spec(row, fix_t3=fix_t3)
+            assert spec.transmittances == tuple(t) and spec.phases == tuple(x)
+
+
+class TestStencil:
+    @pytest.mark.parametrize("event, fix_t3", [
+        (MeasurementEvent((1, 1, 0), (1, 0, 1)), 1.0),
+        (MeasurementEvent((1, 2, 1), (1, 2, 1)), None)])
+    def test_equals_column_by_column_central_difference(self, rng, event, fix_t3):
+        # d = 5 has 8 residual rows, where np.sum(J**2, axis=0) of a
+        # transposed (F-order) Jacobian rounds differently
+        target = TruncationTarget.full(event.dim)
+        residuals = _pattern_residuals(event, target, fix_t3)
+
+        def reference(params):
+            c = conditional_amplitudes(params_to_spec(params, fix_t3=fix_t3), event).as_array()
+            return (c[1:] / c[0] - 1.0).view(float)
+
+        for _ in range(5):
+            x = rng.uniform(0.1, 1.4, 9 if fix_t3 is not None else 10)
+            n_thetas = x.size - 5
+            directions = np.delete(np.eye(x.size), n_thetas, axis=0) * JACOBIAN_STEP
+            jacobian = _central_jacobian(residuals, x, directions)
+            expected = np.column_stack([(reference(x + h) - reference(x - h))
+                                        / (2 * JACOBIAN_STEP) for h in directions])
+            assert np.array_equal(jacobian, expected)
+            assert np.array_equal(np.sum(jacobian ** 2, axis=0),
+                                  np.sum(expected ** 2, axis=0))
+            assert np.array_equal(residuals(x[None])[0], reference(x))
+
+    def test_vanishing_c_k0_gives_infinite_residual(self):
+        # the identity device heralds only n = 1 on the quartit event
+        residuals = _pattern_residuals(QUARTIT_EVENT, TruncationTarget.full(4), None)
+        rows = np.array([np.zeros(10), spec_to_params(TWELFTH_SPEC)])
+        r = residuals(rows)
+        assert np.all(np.isinf(r[0])) and np.all(np.isfinite(r[1]))
+
+
+class TestFitStop:
+    def test_reasons(self):
+        target = TruncationTarget.full(4)
+        x = spec_to_params(TWELFTH_SPEC, fix_t3=1.0)
+        done = _fit_pattern(x, QUARTIT_EVENT, target, 1.0, 400, 1e-10)
+        assert done.stop == "tolerance" and done.evaluations == 1
+        start = x + 1e-3
+        spent = _fit_pattern(start, QUARTIT_EVENT, target, 1.0, 40, 1e-14)
+        assert spent.stop == "budget" and spent.evaluations <= 40
+        dead = _fit_pattern(np.zeros(10), QUARTIT_EVENT, target, None, 400, 1e-10)
+        assert dead.stop == "stalled" and dead.evaluations == 1
+
+    def test_optimize_logs_each_start_and_why_it_was_rejected(self, caplog):
+        entry = next(e for e in build_catalog() if e.target.d == 2)
+        config = SearchConfig(seeds=1, max_iterations=200, convergence_tol=1e-10,
+                              fix_t3=1.0, random_seed=1)
+        with caplog.at_level(logging.DEBUG, logger="qscissors"):
+            records = optimize(entry.event, entry.target, config,
+                               seed_specs=[entry.spec, entry.spec])
+        messages = [r.getMessage() for r in caplog.records if r.name == "qscissors"]
+        assert len(messages) == 3 and len(records) >= 1
+        assert messages[0].startswith("optimize start 0:") and "kept" in messages[0]
+        assert "rejected (duplicate)" in messages[1]
+        assert "evaluations" in messages[2] and "stop" in messages[2]
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="qscissors"):
+            optimize(entry.event, entry.target,
+                     SearchConfig(seeds=0, fix_t3=1.0, min_amplitude=0.99),
+                     seed_specs=[entry.spec])
+            optimize(QUARTIT_EVENT, TruncationTarget(4, frozenset({2})),
+                     SearchConfig(seeds=0, max_iterations=60, fix_t3=1.0),
+                     seed_specs=[TWELFTH_SPEC])
+        messages = [r.getMessage() for r in caplog.records if r.name == "qscissors"]
+        assert "rejected (amplitude floor)" in messages[0]
+        assert "stop budget" in messages[1] and "rejected (defect)" in messages[1]
+
+    def test_silent_without_debug_logging(self, caplog):
+        with caplog.at_level(logging.INFO, logger="qscissors"):
+            optimize(QUBIT_EVENT, TruncationTarget.full(2),
+                     SearchConfig(seeds=1, max_iterations=50, fix_t3=1.0))
+        assert not caplog.records
 
 
 class TestSearchConfig:
