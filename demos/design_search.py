@@ -29,8 +29,7 @@ for t1 in (0.10, 0.2113, 0.35, 0.65, 0.7887):
         xi4 = 0.0 if branch * (2 * t1 - 1) > 0 else np.pi
         spec = GqsdSpec([t1, 1, 1, t4, 1], (0, 0, 0, xi4, 0, 0))
         c = conditional_amplitudes(spec, event)
-        defect = truncation_defect(c, TruncationTarget.full(3),
-                                   quotient_phase=True)
+        defect = truncation_defect(c, TruncationTarget.full(3))
         print(f"  T1 = {t1:.4f}  branch {branch:+d}  T4 = {t4:.4f}  "
               f"|c0| = {abs(c.c[0]):.6f}  defect = {defect:.2e}")
 print("the amplitude peaks at T1 = (3 - sqrt 3)/6 ~ 0.2113 and its mirror")
@@ -50,7 +49,7 @@ rounded = GqsdSpec([0.78494, 0.69001, 1, 0.87451, 0.70185],
                    (0, 0, 0, 0, np.pi, 0))
 quartit_event = MeasurementEvent((1, 1, 1), (1, 1, 1))
 before = truncation_defect(conditional_amplitudes(rounded, quartit_event),
-                           TruncationTarget.full(4), quotient_phase=True)
+                           TruncationTarget.full(4))
 refined, after = refine(rounded, quartit_event, TruncationTarget.full(4),
                         tol=1e-10, fix_t3=1.0)
 print(f"defect at 5-decimal parameters: {before:.2e}")

@@ -1,4 +1,7 @@
-"""Command-line front end: matrix | truncate | verify | optimize | fidelity."""
+"""Command line: ``qscissors {matrix,truncate,verify,optimize,fidelity} [options]``.
+
+Every command reads the same flat ``key = value`` configuration (keys: ``_KEYS``).
+"""
 
 from __future__ import annotations
 
@@ -8,7 +11,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +40,7 @@ _ALLOWED_NAMES = {"pi": math.pi, "sqrt": math.sqrt, "e": math.e,
 
 
 def eval_number(text: str) -> float:
-    """Evaluate a numeric expression like '1/3', 'pi/2' or '(3-sqrt(3))/6'."""
+    """Evaluate an int/float expression like '1/3', 'pi/2' or '(3-sqrt(3))/6'."""
     try:
         tree = ast.parse(text.strip(), mode="eval")
     except SyntaxError as exc:
@@ -45,15 +48,18 @@ def eval_number(text: str) -> float:
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
             raise ConfigError(f"disallowed expression in {text!r}")
+        if isinstance(node, ast.Constant) and type(node.value) not in (int, float):
+            raise ConfigError(f"disallowed constant {node.value!r} in {text!r}")
         if isinstance(node, ast.Name) and node.id not in _ALLOWED_NAMES:
             raise ConfigError(f"unknown symbol {node.id!r} in {text!r}")
         if isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_NAMES:
+            if (not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_NAMES
+                    or len(node.args) != 1 or node.keywords):
                 raise ConfigError(f"disallowed call in {text!r}")
     try:
         return float(eval(compile(tree, "<config>", "eval"), {"__builtins__": {}},
                           _ALLOWED_NAMES))
-    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+    except (ZeroDivisionError, OverflowError, ValueError, TypeError) as exc:
         raise ConfigError(f"cannot evaluate {text!r}: {exc}") from exc
 
 
@@ -94,9 +100,60 @@ def parse_complex(text: str) -> complex:
     return complex(eval_number(text), 0.0)
 
 
+# --- the configuration keys -------------------------------------------------
+
+def _fmt(x) -> str:
+    return repr(float(x))
+
+
+def _fmt_complex(z) -> str:
+    return f"({_fmt(z.real)}, {_fmt(z.imag)})"
+
+
+def _list(read, count=None, what="entries"):
+    """Reader of a comma-separated list; ``count`` fixes its length."""
+    def reader(value):
+        vals = tuple(read(v) for v in _split_top_level(value))
+        if count is not None and len(vals) != count:
+            raise ConfigError(f"expected {count} {what}, got {len(vals)}")
+        return vals
+    return reader
+
+
+def _joined(write):
+    return lambda vals: ", ".join(write(v) for v in vals)
+
+
+_NUMBER = (eval_number, _fmt)
+_WHOLE = (eval_integer, str)
+
+# key -> (RunConfig attribute, reader, writer), in serialized order. Unset
+# (None) values and keys whose writer returns None are not serialized.
+_KEYS = {
+    "T": ("transmittances", _list(eval_number, 5, "transmittances"), _joined(_fmt)),
+    "xi": ("phases", _list(eval_number, 6, "phases"), _joined(_fmt)),
+    "mirror_zeta": ("mirror_zeta", *_NUMBER),
+    "fock_inputs": ("fock_inputs", _list(eval_integer, 3), _joined(str)),
+    "counts": ("counts", _list(eval_integer, 3), _joined(str)),
+    "field_kind": ("field_kind", str, str),
+    "alpha": ("alpha", parse_complex, _fmt_complex),
+    "tail_epsilon": ("tail_epsilon", *_NUMBER),
+    "gammas": ("gammas", _list(parse_complex),
+               lambda gammas: _joined(_fmt_complex)(gammas) or None),
+    "target_keep": ("target_keep", _list(eval_integer), _joined(str)),
+    **{key: (key, *_NUMBER) for label in "csr" for key in (f"eta_{label}", f"r_dark_{label}")},
+    "tau_res": ("tau_res", *_NUMBER),
+    "seeds": ("seeds", *_WHOLE),
+    "max_iterations": ("max_iterations", *_WHOLE),
+    "convergence_tol": ("convergence_tol", *_NUMBER),
+    "random_seed": ("random_seed", *_WHOLE),
+    "fix_t3": ("fix_t3", eval_number, _fmt),
+}
+
+
 @dataclass
 class RunConfig:
-    """Flat key-value run configuration; see parse()/serialize()."""
+    """Flat key-value run configuration; ``_KEYS`` maps each key to a field."""
 
     transmittances: tuple = (1.0,) * 5
     phases: tuple = (0.0,) * 6
@@ -108,8 +165,13 @@ class RunConfig:
     tail_epsilon: float = 1e-12
     gammas: tuple = ()
     target_keep: tuple | None = None
-    eta: dict = field(default_factory=lambda: {"c": 0.7, "s": 0.88, "r": 0.88})
-    r_dark: dict = field(default_factory=lambda: {"c": 100.0, "s": 1e4, "r": 1e4})
+    # detector efficiency and dark-count rate (1/s): conventional, single-photon, number
+    eta_c: float = 0.7
+    r_dark_c: float = 100.0
+    eta_s: float = 0.88
+    r_dark_s: float = 1e4
+    eta_r: float = 0.88
+    r_dark_r: float = 1e4
     tau_res: float = 10e-9
     seeds: int = 20
     max_iterations: int = 4000
@@ -154,85 +216,22 @@ class RunConfig:
                 raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
             key, value = (s.strip() for s in line.split("=", 1))
             try:
-                _assign(cfg, key, value)
+                if key not in _KEYS:
+                    raise ConfigError(f"unknown configuration key {key!r}")
+                attribute, read, _ = _KEYS[key]
+                setattr(cfg, attribute, read(value))
             except ConfigError as exc:
                 raise ConfigError(f"line {lineno}, field {key!r}: {exc}") from exc
         return cfg
 
     def serialize(self) -> str:
-        fmt = lambda x: repr(float(x))
-        lines = [
-            "T = " + ", ".join(fmt(t) for t in self.transmittances),
-            "xi = " + ", ".join(fmt(x) for x in self.phases),
-            f"mirror_zeta = {fmt(self.mirror_zeta)}",
-            "fock_inputs = " + ", ".join(str(n) for n in self.fock_inputs),
-            "counts = " + ", ".join(str(n) for n in self.counts),
-            f"field_kind = {self.field_kind}",
-            f"alpha = ({fmt(self.alpha.real)}, {fmt(self.alpha.imag)})",
-            f"tail_epsilon = {fmt(self.tail_epsilon)}",
-        ]
-        if self.gammas:
-            lines.append("gammas = " + ", ".join(
-                f"({fmt(g.real)}, {fmt(g.imag)})" for g in self.gammas))
-        if self.target_keep is not None:
-            lines.append("target_keep = " + ", ".join(str(k) for k in self.target_keep))
-        for label in ("c", "s", "r"):
-            lines.append(f"eta_{label} = {fmt(self.eta[label])}")
-            lines.append(f"r_dark_{label} = {fmt(self.r_dark[label])}")
-        lines += [
-            f"tau_res = {fmt(self.tau_res)}",
-            f"seeds = {self.seeds}",
-            f"max_iterations = {self.max_iterations}",
-            f"convergence_tol = {fmt(self.convergence_tol)}",
-            f"random_seed = {self.random_seed}",
-        ]
-        if self.fix_t3 is not None:
-            lines.append(f"fix_t3 = {fmt(self.fix_t3)}")
+        lines = []
+        for key, (attribute, _, write) in _KEYS.items():
+            value = getattr(self, attribute)
+            text = None if value is None else write(value)
+            if text is not None:
+                lines.append(f"{key} = {text}")
         return "\n".join(lines) + "\n"
-
-
-def _assign(cfg: RunConfig, key: str, value: str):
-    if key == "T":
-        vals = [eval_number(v) for v in _split_top_level(value)]
-        if len(vals) != 5:
-            raise ConfigError(f"expected 5 transmittances, got {len(vals)}")
-        cfg.transmittances = tuple(vals)
-    elif key == "xi":
-        vals = [eval_number(v) for v in _split_top_level(value)]
-        if len(vals) != 6:
-            raise ConfigError(f"expected 6 phases, got {len(vals)}")
-        cfg.phases = tuple(vals)
-    elif key == "mirror_zeta":
-        cfg.mirror_zeta = eval_number(value)
-    elif key in ("fock_inputs", "counts"):
-        vals = tuple(eval_integer(v) for v in _split_top_level(value))
-        if len(vals) != 3:
-            raise ConfigError(f"expected 3 entries, got {len(vals)}")
-        setattr(cfg, key, vals)
-    elif key == "field_kind":
-        cfg.field_kind = value
-    elif key == "alpha":
-        cfg.alpha = parse_complex(value)
-    elif key == "tail_epsilon":
-        cfg.tail_epsilon = eval_number(value)
-    elif key == "gammas":
-        cfg.gammas = tuple(parse_complex(v) for v in _split_top_level(value))
-    elif key == "target_keep":
-        cfg.target_keep = tuple(eval_integer(v) for v in _split_top_level(value))
-    elif key.startswith("eta_") and key[4:] in ("c", "s", "r"):
-        cfg.eta[key[4:]] = eval_number(value)
-    elif key.startswith("r_dark_") and key[7:] in ("c", "s", "r"):
-        cfg.r_dark[key[7:]] = eval_number(value)
-    elif key == "tau_res":
-        cfg.tau_res = eval_number(value)
-    elif key in ("seeds", "max_iterations", "random_seed"):
-        setattr(cfg, key, eval_integer(value))
-    elif key == "convergence_tol":
-        cfg.convergence_tol = eval_number(value)
-    elif key == "fix_t3":
-        cfg.fix_t3 = eval_number(value)
-    else:
-        raise ConfigError(f"unknown configuration key {key!r}")
 
 
 # --- output helpers ---------------------------------------------------------
@@ -262,7 +261,7 @@ def _emit(path, fmt, rows, header):
     return text
 
 
-# --- subcommands ------------------------------------------------------------
+# --- commands ---------------------------------------------------------------
 
 def cmd_matrix(cfg: RunConfig, args) -> int:
     s = gqsd_matrix(cfg.spec())
@@ -354,17 +353,17 @@ def cmd_fidelity(cfg: RunConfig, args) -> int:
     ideal, _ = truncate(spec, event, field)  # a vanishing outcome stops here, before the sectors
     blocks = detected_blocks(gqsd_matrix(spec), event.fock_inputs, field.gammas)
     rows = []
-    for label, kind in (("c", CONVENTIONAL), ("s", SINGLE_PHOTON),
-                        ("r", NUMBER_RESOLVING)):
-        nu = nu_from_dark_rate(cfg.r_dark[label], cfg.tau_res)
-        models = [DetectorModel(kind, cfg.eta[label], nu)] * 3
+    for label, kind, eta, r_dark in (("c", CONVENTIONAL, cfg.eta_c, cfg.r_dark_c),
+                                     ("s", SINGLE_PHOTON, cfg.eta_s, cfg.r_dark_s),
+                                     ("r", NUMBER_RESOLVING, cfg.eta_r, cfg.r_dark_r)):
+        nu = nu_from_dark_rate(r_dark, cfg.tau_res)
+        models = [DetectorModel(kind, eta, nu)] * 3
         outcomes = [outcome_for_count(kind, n) for n in event.counts]
         rho, probability = heralded_density_matrix(blocks, models, outcomes)
         f = fidelity(rho, ideal)
-        print(f"F_{label} = {f:.6f}  (eta = {cfg.eta[label]}, nu = {nu:.3e}, "
+        print(f"F_{label} = {f:.6f}  (eta = {eta}, nu = {nu:.3e}, "
               f"outcome probability = {probability:.6e})")
-        rows.append((label, float(cfg.eta[label]), float(nu), float(f),
-                     float(probability)))
+        rows.append((label, float(eta), float(nu), float(f), float(probability)))
     _emit(args.out, args.format, rows,
           ("kind", "eta", "nu", "fidelity", "probability"))
     return 0
@@ -375,26 +374,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qscissors",
         description="Eight-port quantum scissors: truncation, design search, "
                     "detector fidelities.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in (("matrix", cmd_matrix), ("truncate", cmd_truncate),
-                       ("verify", cmd_verify), ("optimize", cmd_optimize),
-                       ("fidelity", cmd_fidelity)):
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="path to a flat key = value config file")
-        p.add_argument("--out", help="write structured output to this path")
-        p.add_argument("--format", choices=("csv", "text"), default="text")
-        p.add_argument("--seed", type=int, help="override the search random seed")
-        if name == "optimize":
-            p.add_argument("--seed-from-config", action="store_true",
-                           help="use the config's device as the first start")
-        p.set_defaults(func=func)
-    parser.set_defaults(seed_from_config=False)
+    parser.add_argument("command", choices=("matrix", "truncate", "verify",
+                                            "optimize", "fidelity"))
+    parser.add_argument("--config", help="path to a flat key = value config file")
+    parser.add_argument("--out", help="write structured output to this path")
+    parser.add_argument("--format", choices=("csv", "text"), default="text")
+    parser.add_argument("--seed", type=int, help="override the search random seed")
+    parser.add_argument("--seed-from-config", action="store_true",
+                        help="optimize only: use the config's device as the first start")
     return parser
 
 
 def main(argv=None) -> int:
+    # Looked up on every call, so a rebound module attribute (a tracing
+    # wrapper, a test double) is the one that runs.
+    commands = {"matrix": cmd_matrix, "truncate": cmd_truncate, "verify": cmd_verify,
+                "optimize": cmd_optimize, "fidelity": cmd_fidelity}
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed_from_config and args.command != "optimize":
+        parser.error("--seed-from-config applies to optimize only")
     try:
         if args.config:
             with open(args.config) as fh:
@@ -403,7 +402,7 @@ def main(argv=None) -> int:
             cfg = RunConfig()
         if args.seed is not None:
             cfg.random_seed = args.seed
-        return args.func(cfg, args)
+        return commands[args.command](cfg, args)
     except (OSError, ValueError, ZeroProbabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

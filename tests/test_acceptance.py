@@ -83,7 +83,7 @@ def test_criterion_2_quartit_exact_surd(report):
 def test_criterion_3_quartit_numeric(report):
     c = conditional_amplitudes(QUARTIT_NUMERIC, QUARTIT_EVENT)
     amp_err = float(np.max(np.abs(np.abs(c.as_array()) - 0.134)))
-    defect = truncation_defect(c, TruncationTarget.full(4), quotient_phase=True)
+    defect = truncation_defect(c, TruncationTarget.full(4))
     refined, refined_defect = refine(QUARTIT_NUMERIC, QUARTIT_EVENT,
                                      TruncationTarget.full(4), tol=1e-10,
                                      fix_t3=1.0)
@@ -119,7 +119,7 @@ def test_criterion_4_qubit_cases(report):
             c = conditional_amplitudes(reduced_spec(t1, t1, PI),
                                        qubit_event(inputs, counts))
             worst_defect = max(worst_defect,
-                               truncation_defect(c, target, quotient_phase=True))
+                               truncation_defect(c, target))
     amp_half = abs(conditional_amplitudes(
         reduced_spec(0.5, 0.5), qubit_event((1, 0), (0, 1))).c[0])
     grid_max = max(abs(conditional_amplitudes(
@@ -140,7 +140,7 @@ def test_criterion_5_qutrit_relation(report):
             t4 = qutrit_bs_relation(t1, branch)
             xi4 = 0.0 if branch * (2 * t1 - 1) > 0 else PI
             c = conditional_amplitudes(reduced_spec(t1, t4, xi4), event)
-            worst = max(worst, truncation_defect(c, target, quotient_phase=True))
+            worst = max(worst, truncation_defect(c, target))
     optima_ok = True
     for t1, same in (((3 - SQRT(3)) / 6, True), ((3 + SQRT(3)) / 6, True)):
         branch_same = -1 if t1 < 0.5 else +1
@@ -153,16 +153,13 @@ def test_criterion_5_qutrit_relation(report):
 
 def test_criterion_6_d5_d6_numeric(report):
     c5 = conditional_amplitudes(D5_NUMERIC, D5_EVENT)
-    d5_defect = truncation_defect(c5, TruncationTarget.full(5),
-                                  quotient_phase=True)
+    d5_defect = truncation_defect(c5, TruncationTarget.full(5))
     _, d5_refined = refine(D5_NUMERIC, D5_EVENT, TruncationTarget.full(5),
                            tol=1e-10, fix_t3=1.0)
     c6a = conditional_amplitudes(D6_NUMERIC_1, D6_EVENT)
     c6b = conditional_amplitudes(D6_NUMERIC_2, D6_EVENT)
-    d6a_defect = truncation_defect(c6a, TruncationTarget.full(6),
-                                   quotient_phase=True)
-    d6b_defect = truncation_defect(c6b, TruncationTarget.full(6),
-                                   quotient_phase=True)
+    d6a_defect = truncation_defect(c6a, TruncationTarget.full(6))
+    d6b_defect = truncation_defect(c6b, TruncationTarget.full(6))
     _, d6a_refined = refine(D6_NUMERIC_1, D6_EVENT, TruncationTarget.full(6),
                             tol=1e-10)
     _, d6b_refined = refine(D6_NUMERIC_2, D6_EVENT, TruncationTarget.full(6),

@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import math
 import sys
 
 import pytest
 
 from qscissors import catalog
-from qscissors.cli import (ConfigError, RunConfig, eval_number, main,
+from qscissors.cli import (_KEYS, ConfigError, RunConfig, eval_number, main,
                            parse_complex)
 
 QUARTIT_CONFIG = """
@@ -16,6 +17,37 @@ fock_inputs = 1, 1, 1
 counts = 1, 1, 1
 alpha = (0.4, 0)
 """
+
+DEFAULT_SERIALIZED = """\
+T = 1.0, 1.0, 1.0, 1.0, 1.0
+xi = 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+mirror_zeta = 0.0
+fock_inputs = 1, 1, 1
+counts = 1, 1, 1
+field_kind = coherent
+alpha = (0.4, 0.0)
+tail_epsilon = 1e-12
+eta_c = 0.7
+r_dark_c = 100.0
+eta_s = 0.88
+r_dark_s = 10000.0
+eta_r = 0.88
+r_dark_r = 10000.0
+tau_res = 1e-08
+seeds = 20
+max_iterations = 4000
+convergence_tol = 1e-12
+random_seed = 0
+"""
+
+# A value unlike the default for every RunConfig field.
+EVERY_KEY_SET = dict(
+    transmittances=(0.1, 0.2, 0.3, 0.4, 0.5), phases=(0.5, -1.0, 2.0, 0.25, 3.0, -0.125),
+    mirror_zeta=0.75, fock_inputs=(2, 1, 0), counts=(0, 2, 1), field_kind="fock",
+    alpha=-0.3 + 1.25j, tail_epsilon=1e-9, gammas=(0.6 + 0j, -0.25j, 0.5 - 0.5j),
+    target_keep=(0, 2), eta_c=0.5, r_dark_c=20.0, eta_s=0.6, r_dark_s=30.0, eta_r=0.7,
+    r_dark_r=40.0, tau_res=2e-8, seeds=3, max_iterations=50, convergence_tol=1e-6,
+    random_seed=9, fix_t3=0.25)
 
 
 class TestEvalNumber:
@@ -38,7 +70,7 @@ class TestEvalNumber:
             eval_number("2**3")
 
     @pytest.mark.parametrize("text", ["1/0", "sqrt(-1)", "cos(1e400)",
-                                      "1" + "0" * 400 + "/3"])
+                                      "1" + "0" * 400 + "/3", "pi(1)", "sqrt + 1"])
     def test_evaluation_errors_are_config_errors(self, text):
         with pytest.raises(ConfigError, match="cannot evaluate"):
             eval_number(text)
@@ -82,6 +114,27 @@ class TestRunConfig:
     def test_error_carries_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
             RunConfig.parse("T = 1, 1, 1, 1, 1\nxi = bogus\n")
+
+    def test_key_table_covers_every_field(self):
+        attributes = [attribute for attribute, _, _ in _KEYS.values()]
+        assert sorted(attributes) == sorted(f.name for f in dataclasses.fields(RunConfig))
+        assert set(EVERY_KEY_SET) == set(attributes)
+
+    def test_default_serialization_is_pinned(self):
+        assert RunConfig().serialize() == DEFAULT_SERIALIZED
+
+    def test_round_trip_of_every_key(self):
+        cfg, default = RunConfig(**EVERY_KEY_SET), RunConfig()
+        for name in EVERY_KEY_SET:
+            assert getattr(cfg, name) != getattr(default, name), name
+        text = cfg.serialize()
+        assert len(text.splitlines()) == len(_KEYS)
+        assert RunConfig.parse(text) == cfg
+
+    def test_explicit_empty_target_is_kept(self):
+        cfg = RunConfig(target_keep=())
+        assert "target_keep = \n" in cfg.serialize()
+        assert RunConfig.parse(cfg.serialize()).target_keep == ()
 
 
 @pytest.fixture
@@ -181,7 +234,11 @@ class TestSubcommands:
                                       "field_kind = fock\ngammas = 1e400, 1",
                                       "fock_inputs = 1e400, 0, 0",
                                       "seeds = 1e400",
-                                      "quotient_phase = true"])
+                                      "quotient_phase = true",
+                                      "mirror_zeta = 1j", "mirror_zeta = None",
+                                      "mirror_zeta = True", "mirror_zeta = 'abc'",
+                                      "mirror_zeta = sqrt(1, 2)", "mirror_zeta = cos()",
+                                      "alpha = (1, 2j)"])
     def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, line):
         path = tmp_path / "bad.cfg"
         path.write_text(QUARTIT_CONFIG + line + "\n")
@@ -200,6 +257,13 @@ class TestSubcommands:
         assert main(["optimize", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["matrix", "truncate", "verify", "fidelity"])
+    def test_seed_from_config_is_for_optimize_only(self, config_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", config_path, "--seed-from-config"])
+        assert exc.value.code == 2
+        assert "--seed-from-config" in capsys.readouterr().err
 
     def test_seed_off_the_fixed_t3_exits_2(self, tmp_path, capsys):
         path = tmp_path / "seeded.cfg"

@@ -235,16 +235,25 @@ class TestEngineArguments:
                               projected_amplitudes(S4, (1, 1, 1), (1, 1, 1), 3))
 
 
+@st.composite
+def occupations(draw, modes=4, photons=8):
+    """Every occupation of ``modes`` modes with at most ``photons`` in all, unfiltered."""
+    occupation = []
+    for _ in range(modes):
+        occupation.append(draw(st.integers(0, photons - sum(occupation))))
+    return occupation
+
+
 class TestEngineProperties:
     @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1),
-           occupation=st.lists(st.integers(0, 8), min_size=4, max_size=4)
-           .filter(lambda occ: sum(occ) <= 8))
+    @given(seed=st.integers(0, 2**32 - 1), occupation=occupations())
     def test_matches_oracle(self, seed, occupation):
         spec = random_gqsd(np.random.default_rng(seed), n_phases=6)
         fast = evolve(fock_product_state(tuple(occupation)), spec.elements())
         slow = evolve_fock_oracle(gqsd_matrix(spec), occupation)
         assert max_amplitude_diff(fast, slow) < 1e-11
+        # the network conserves photon number: every output term has the input's total
+        assert all(min(key) >= 0 and sum(key) == sum(occupation) for key in fast.amplitudes)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 6),

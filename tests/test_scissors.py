@@ -106,16 +106,15 @@ class TestTruncationDefect:
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
-           phase=st.floats(-PI, PI), quotient_phase=st.booleans())
-    def test_global_phase_does_not_change_defect(self, d, seed, phase, quotient_phase):
+           phase=st.floats(-PI, PI))
+    def test_global_phase_does_not_change_defect(self, d, seed, phase):
         rng = np.random.default_rng(seed)
         c = rng.normal(size=d) + 1j * rng.normal(size=d)
         keep = frozenset(np.flatnonzero(rng.random(d) < 0.5)) or frozenset({0})
         target = TruncationTarget(d, keep)
         raw = truncation_defect(ConditionalAmplitudes(d, tuple(c)), target)
         rotated = truncation_defect(
-            ConditionalAmplitudes(d, tuple(c * np.exp(1j * phase))), target,
-            quotient_phase=quotient_phase)
+            ConditionalAmplitudes(d, tuple(c * np.exp(1j * phase))), target)
         assert abs(rotated - raw) <= 1e-13 * (1.0 + raw)
 
     def test_empty_keep_rejected(self):
@@ -179,7 +178,7 @@ class TestAnalyticAmplitudes:
             for inputs, counts in [((0, 1), (0, 1)), ((1, 0), (1, 0))]:
                 c = conditional_amplitudes(reduced_spec(t1, t1, PI),
                                            qubit_event(inputs, counts))
-                assert truncation_defect(c, target, quotient_phase=True) < 1e-12
+                assert truncation_defect(c, target) < 1e-12
 
     def test_qubit_optimum_at_5050(self, rng):
         # the 50:50 pair maximizes the success amplitude over all solutions
@@ -249,8 +248,7 @@ class TestQutritRelation:
         assert abs(t4 - (1 - t1)) < 1e-12
         c = conditional_amplitudes(reduced_spec(t1, t4, PI),
                                    qubit_event((1, 1), (1, 1)))
-        assert truncation_defect(c, TruncationTarget.full(3),
-                                 quotient_phase=True) < 1e-12
+        assert truncation_defect(c, TruncationTarget.full(3)) < 1e-12
 
     def test_sweep(self):
         target = TruncationTarget.full(3)
@@ -260,7 +258,7 @@ class TestQutritRelation:
                 xi4 = 0.0 if branch * (2 * t1 - 1) > 0 else PI
                 c = conditional_amplitudes(reduced_spec(t1, t4, xi4),
                                            qubit_event((1, 1), (1, 1)))
-                assert truncation_defect(c, target, quotient_phase=True) < 1e-12
+                assert truncation_defect(c, target) < 1e-12
 
     def test_degenerate_at_half(self):
         assert qutrit_bs_relation(0.5, +1) == 1.0
@@ -296,7 +294,7 @@ class TestSymmetryTransforms:
         for spec in (TWELFTH_SPEC, SURD_SPEC):
             for image in symmetry_transforms(spec):
                 c = conditional_amplitudes(image, QUARTIT_EVENT)
-                assert truncation_defect(c, target, quotient_phase=True) < 1e-10
+                assert truncation_defect(c, target) < 1e-10
 
     def test_requires_removed_bs3(self):
         with pytest.raises(ValueError):

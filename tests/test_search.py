@@ -187,8 +187,7 @@ class TestObjective:
         spec = GqsdSpec([0.3, 0.6, 1, 0.4, 0.7], (0, 0.2, 0, 0.5, 0.1, 0))
         params = spec_to_params(spec)
         c = conditional_amplitudes(spec, QUARTIT_EVENT)
-        expected = truncation_defect(c, TruncationTarget.full(4),
-                                     quotient_phase=True)
+        expected = truncation_defect(c, TruncationTarget.full(4))
         value = objective(params, QUARTIT_EVENT, TruncationTarget.full(4))
         assert abs(value - expected) < 1e-14
 
@@ -207,8 +206,7 @@ class TestOptimize:
         for rec in records:
             assert rec.defect < 1e-10
             c = conditional_amplitudes(rec.spec, QUBIT_EVENT)
-            assert truncation_defect(c, rec.target,
-                                     quotient_phase=True) < 1e-10
+            assert truncation_defect(c, rec.target) < 1e-10
             assert abs(abs(c.c[0]) - rec.amplitude) < 1e-12
 
     def test_deterministic(self):
